@@ -428,12 +428,12 @@ def bench_dense_scaling(
     (``threads=0``), the pre-engine sequential loop, and the ``auto``
     policy's routing are the baselines.  ``threaded_bit_identical``
     asserts the layout contract (worker count never changes results) in
-    the snapshot itself, and ``kernel`` records whether the fused
-    compiled kernel (numba) or the numpy reference path ran.
+    the snapshot itself, and ``kernel`` records the dense kernel
+    (always ``numpy``).
 
     CI's ``dense-scaling`` job guards this entry: best-threaded ≥ 2× the
-    serial dense path on the 4-core runner (≥ 4× when ``kernel`` is
-    ``compiled``), and ``auto`` at least as fast as the legacy loop.
+    serial dense path on the 4-core runner, and ``auto`` at least as
+    fast as the legacy loop.
     """
     from repro.core.dense import dense_kernel_name
 
@@ -730,7 +730,7 @@ def main(argv: list[str] | None = None) -> int:
         f"dense scaling (rook, kernel={ds['kernel']}): best "
         f"{ds['best_speedup_vs_serial']:.2f}x vs serial at "
         f"{ds['best_threads']} threads (CI guard on the 4-core runner: "
-        f">= 2x, >= 4x with the compiled kernel); auto vs loop: "
+        f">= 2x); auto vs loop: "
         f"{ds['auto_speedup_vs_loop']:.2f}x (guard: >= 1x); "
         f"bit-identical across thread counts: {ds['threaded_bit_identical']}"
     )

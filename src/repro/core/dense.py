@@ -1,26 +1,12 @@
 """The dense-path hot loop: batched Best-of-k rounds (DESIGN.md §2.10).
 
 This module is the library's dense inner kernel, split out of
-:mod:`repro.core.ensemble` so the hot path has exactly one home and one
-discipline: **every array operation goes through the active
-:class:`~repro.core.backend.ArrayBackend`** — lint rule BKND001 forbids
-direct ``np.`` calls here, which is what keeps the path retargetable to
-CuPy/torch backends without a rewrite.
-
-Three layers live here:
+:mod:`repro.core.ensemble` so the hot path has exactly one home.  It is
+plain numpy.  Two layers live here:
 
 * :func:`step_best_of_k_batch` — one synchronous Best-of-k round for a
   whole ``(R, n)`` batch, chunked along the replica axis so per-chunk
-  scratch stays cache-resident (moved verbatim from the pre-1.8 engine;
-  elementwise results unchanged).
-* the **fused kernel** — :func:`fused_best_of_k_chunk` performs the
-  draw-map→gather→majority-vote→adopt sequence for one chunk in a single
-  cache-resident pass over CSR hosts, consuming exactly the uniform
-  draws the numpy reference path consumes (bit-identical by
-  construction).  The same source runs two ways: numba-jitted with
-  ``nogil=True`` when the ``"compiled"`` kernel is selected
-  (``REPRO_DENSE_KERNEL``; auto-detected at import), or as plain Python
-  in the test suite's equivalence checks.
+  scratch stays cache-resident;
 * the **threading policy** — :func:`resolve_dense_threads` and
   :func:`replica_blocks` decide when the engine dispatches replica
   blocks over a thread pool and how replicas partition into blocks.
@@ -33,11 +19,8 @@ from __future__ import annotations
 
 import os
 
-from repro.core.backend import (
-    compile_dense_kernel,
-    get_backend,
-    select_dense_kernel,
-)
+import numpy as np
+
 from repro.core.dynamics import TieRule
 from repro.core.opinions import OPINION_DTYPE
 from repro.util.validation import check_positive_int
@@ -48,8 +31,6 @@ __all__ = [
     "DENSE_BLOCKS_TARGET",
     "MAX_AUTO_THREADS",
     "dense_kernel_name",
-    "fused_best_of_k_chunk",
-    "fused_kernel_supported",
     "replica_blocks",
     "resolve_dense_threads",
     "step_best_of_k_batch",
@@ -117,6 +98,8 @@ def resolve_dense_threads(
     — bit-identical for every worker count ≥ 1, so ``threads=1`` is the
     single-worker execution of exactly what ``threads=4`` computes).
 
+    Booleans are rejected: ``True`` is not a worker count.
+
     ``None`` is the auto policy: thread exactly when the per-round
     sample count ``R·n·k`` reaches :data:`DENSE_AUTO_THREAD_MIN_SAMPLES`
     *and* more than one core exists — a single-worker threaded layout
@@ -136,7 +119,9 @@ def resolve_dense_threads(
     if threads == "serial":
         return 0
     count = int(threads)
-    if count < 0 or (not isinstance(threads, int) and threads != count):
+    if isinstance(threads, bool) or count < 0 or (
+        not isinstance(threads, int) and threads != count
+    ):
         raise ValueError(
             f"threads must be None, 'auto', 'serial', or an int >= 0; "
             f"got {threads!r}"
@@ -161,69 +146,9 @@ def replica_blocks(
     return [(lo, min(lo + block, replicas)) for lo in range(0, replicas, block)]
 
 
-# ----------------------------------------------------------------------
-# The fused gather→vote→adopt kernel
-# ----------------------------------------------------------------------
-
-
-def fused_best_of_k_chunk(u, deg, starts, adj, flat_ops, prev, out, lo, n, k):
-    """One chunk's draw-map→gather→vote→adopt in a single fused pass.
-
-    ``u`` is the chunk's ``(rows, n, k)`` uniform tensor — the *same*
-    draw the reference path hands to ``CSRGraph.sample_neighbors_batch``
-    — so sample ids, votes, and adopted opinions match the numpy path
-    element for element.  ``flat_ops`` is the row-major flat view of the
-    full live matrix and ``lo`` the chunk's first replica row; ``prev``
-    holds the chunk's pre-round opinions for the even-``k`` keep-self
-    tie rule.  Written in the scalar-loop style numba compiles cleanly
-    (and runs as plain Python in the equivalence tests).
-    """
-    rows = u.shape[0]
-    for r in range(rows):
-        base = (lo + r) * n
-        for v in range(n):
-            votes = 0
-            start = starts[v]
-            d = deg[v]
-            for j in range(k):
-                nb = adj[start + int(u[r, v, j] * d)]
-                votes += flat_ops[base + nb]
-            twice = 2 * votes
-            if twice > k:
-                out[r, v] = 1
-            elif twice < k:
-                out[r, v] = 0
-            else:
-                out[r, v] = prev[r, v]
-    return out
-
-
-_KERNEL_NAME = select_dense_kernel()
-_FUSED_COMPILED = (
-    compile_dense_kernel(fused_best_of_k_chunk)
-    if _KERNEL_NAME == "compiled"
-    else None
-)
-
-
 def dense_kernel_name() -> str:
-    """The kernel this process selected at import (``numpy``/``compiled``)."""
-    return _KERNEL_NAME
-
-
-def fused_kernel_supported(graph, k: int, tie_rule: TieRule) -> bool:
-    """Whether the fused kernel covers this (host, protocol) combination.
-
-    CSR hosts only (the fused loop walks ``indptr``/``indices``
-    directly), and the random tie rule is excluded: its coin flips would
-    consume extra stream the reference path draws tied-vertex-by-count,
-    breaking bit-identity.
-    """
-    from repro.graphs.csr import CSRGraph
-
-    if not isinstance(graph, CSRGraph):
-        return False
-    return k % 2 == 1 or tie_rule is TieRule.KEEP_SELF
+    """The dense kernel in use; always ``"numpy"`` (benchmark metadata)."""
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +165,6 @@ def step_best_of_k_batch(
     tie_rule: TieRule = TieRule.KEEP_SELF,
     out=None,
     max_batch_bytes: int = DEFAULT_BATCH_BYTES,
-    kernel: str | None = None,
 ):
     """One synchronous Best-of-k round for a whole ``(R, n)`` batch.
 
@@ -253,13 +177,8 @@ def step_best_of_k_batch(
     buffer: sample ids are shifted by precomputed row offsets *in place*
     (reusing the sample buffer as the flat-index buffer), and the
     gathered opinions and vote counts land in scratch buffers allocated
-    once per call and reused across chunks.  When the ``"compiled"``
-    dense kernel is active and :func:`fused_kernel_supported` holds, the
-    whole chunk instead runs through the fused numba pass — consuming
-    the identical uniform draw, so results are bit-equal either way.
-    *kernel* overrides the import-time selection (tests force both).
+    once per call and reused across chunks.
     """
-    B = get_backend()
     n = graph.num_vertices
     if opinions.ndim != 2 or opinions.shape[1] != n:
         raise ValueError(
@@ -268,65 +187,48 @@ def step_best_of_k_batch(
     k = check_positive_int(k, "k")
     replicas = opinions.shape[0]
     if out is None:
-        out = B.empty_like(opinions)
+        out = np.empty_like(opinions)
     elif out is opinions:
         raise ValueError("out must not alias opinions (synchronous update)")
     elif out.shape != opinions.shape:
         raise ValueError(
             f"out shape {out.shape} does not match opinions {opinions.shape}"
         )
-    kernel_name = _KERNEL_NAME if kernel is None else kernel
-    fused = kernel_name == "compiled" and fused_kernel_supported(
-        graph, k, tie_rule
-    )
     vertices = graph.vertex_ids
-    vote_dtype = B.uint8 if k < 256 else B.int64
+    vote_dtype = np.uint8 if k < 256 else np.int64
     half = k // 2  # votes > half <=> strict blue majority, for any parity
     chunk = max(1, int(max_batch_bytes) // max(n * k * _BYTES_PER_SAMPLE, 1))
     chunk = min(chunk, replicas)
     # Flat row-major view for the flat-take gather (copies only when the
     # caller passed a non-contiguous matrix; the engine's buffers are
     # contiguous).
-    flat_ops = B.ascontiguousarray(opinions).reshape(-1)
-    if fused:
-        impl = _FUSED_COMPILED if _FUSED_COMPILED is not None else fused_best_of_k_chunk
-        deg = graph.degrees
-        starts = graph.indptr
-        adj = graph.indices
-        for lo in range(0, replicas, chunk):
-            hi = min(lo + chunk, replicas)
-            u = B.uniform(rng, (hi - lo, n, k))
-            impl(
-                u, deg, starts, adj, flat_ops, opinions[lo:hi], out[lo:hi],
-                lo, n, k,
-            )
-        return out
+    flat_ops = np.ascontiguousarray(opinions).reshape(-1)
     # Row offsets can exceed int32 when R·n does even though ids fit.
     offset_dtype = (
-        B.int64 if replicas * n > B.iinfo(B.int32).max else B.int32
+        np.int64 if replicas * n > np.iinfo(np.int32).max else np.int32
     )
-    gathered = B.empty((chunk, n, k), dtype=OPINION_DTYPE)
-    votes = B.empty((chunk, n), dtype=vote_dtype)
+    gathered = np.empty((chunk, n, k), dtype=OPINION_DTYPE)
+    votes = np.empty((chunk, n), dtype=vote_dtype)
     for lo in range(0, replicas, chunk):
         hi = min(lo + chunk, replicas)
         rows = hi - lo
         samples = graph.sample_neighbors_batch(vertices, k, rng, rows)
-        offsets = B.arange(lo, hi, dtype=offset_dtype) * n
-        if B.can_cast(offset_dtype, samples.dtype):
+        offsets = np.arange(lo, hi, dtype=offset_dtype) * n
+        if np.can_cast(offset_dtype, samples.dtype):
             samples += offsets[:, None, None].astype(samples.dtype)
             flat_idx = samples
         else:
             flat_idx = samples.astype(offset_dtype)
             flat_idx += offsets[:, None, None]
-        B.take(flat_ops, flat_idx, out=gathered[:rows])
-        B.sum(gathered[:rows], axis=2, dtype=vote_dtype, out=votes[:rows])
-        B.greater(votes[:rows], half, out=out[lo:hi])
+        np.take(flat_ops, flat_idx, out=gathered[:rows])
+        np.sum(gathered[:rows], axis=2, dtype=vote_dtype, out=votes[:rows])
+        np.greater(votes[:rows], half, out=out[lo:hi])
         if k % 2 == 0:
             tied = votes[:rows] == half
             if tie_rule is TieRule.KEEP_SELF:
                 out[lo:hi][tied] = opinions[lo:hi][tied]
             elif tie_rule is TieRule.RANDOM:
-                n_tied = int(B.count_nonzero(tied))
+                n_tied = int(np.count_nonzero(tied))
                 if n_tied:
                     out[lo:hi][tied] = (rng.random(n_tied) < 0.5).astype(
                         OPINION_DTYPE

@@ -90,7 +90,7 @@ __all__ = [
 ]
 
 # ``DEFAULT_BATCH_BYTES`` and ``step_best_of_k_batch`` moved to
-# :mod:`repro.core.dense` in 1.8 (the backend-pure hot-path module);
+# :mod:`repro.core.dense` in 1.8 (the dense hot-path module);
 # re-exported here because the public import path predates the split.
 
 EnsembleMethod = Literal["auto", "batched", "count_chain"]
@@ -324,8 +324,12 @@ def run_ensemble(
             kernel, protocol, replicas, init_ss, delta, initializer,
             initial_opinions, initial_blue_counts,
         )
-        return _run_count_chain(
-            kernel, protocol, state0, rng, max_steps, record_trajectories
+        return _drive(
+            protocol, n, state0,
+            lambda state: protocol.kernel_step(kernel, state, rng),
+            kernel.blue_totals,
+            method="count_chain", max_steps=max_steps,
+            record_trajectories=record_trajectories,
         )
     if method != "batched":
         raise ValueError(
@@ -374,6 +378,27 @@ def build_initial_matrix(
     )
 
 
+def _explicit_opinions(initial_opinions, replicas: int, n: int) -> np.ndarray:
+    """Validate an explicit ``(R, n)`` or shared ``(n,)`` initial matrix."""
+    mat = np.asarray(initial_opinions)
+    if mat.shape not in ((replicas, n), (n,)):
+        raise ValueError(
+            f"initial_opinions must have shape ({replicas}, {n}) or "
+            f"({n},), got {mat.shape}"
+        )
+    return mat
+
+
+def _initializer_row(initializer, n: int, gen: np.random.Generator) -> np.ndarray:
+    """One replica's initializer output, validated to shape ``(n,)``."""
+    row = np.asarray(initializer(n, gen))
+    if row.shape != (n,):
+        raise ValueError(
+            f"initializer returned shape {row.shape}, expected ({n},)"
+        )
+    return row
+
+
 def _initial_matrix(
     n: int,
     replicas: int,
@@ -386,15 +411,10 @@ def _initial_matrix(
 ) -> np.ndarray:
     """Materialise the ``(R, n)`` initial opinion matrix."""
     if initial_opinions is not None:
-        mat = np.asarray(initial_opinions, dtype=dtype)
-        if mat.ndim == 1:
-            mat = np.broadcast_to(mat, (replicas, n))
-        if mat.shape != (replicas, n):
-            raise ValueError(
-                f"initial_opinions must have shape ({replicas}, {n}) or "
-                f"({n},), got {np.asarray(initial_opinions).shape}"
-            )
-        return np.array(mat, dtype=dtype, copy=True)
+        mat = _explicit_opinions(initial_opinions, replicas, n)
+        return np.array(
+            np.broadcast_to(mat, (replicas, n)), dtype=dtype, order="C"
+        )
     gens = spawn_generators(init_ss, replicas)
     mat = np.empty((replicas, n), dtype=dtype)
     if delta is not None:
@@ -402,12 +422,9 @@ def _initial_matrix(
             mat[i] = random_opinions(n, delta, rng=gen)
     elif initializer is not None:
         for i, gen in enumerate(gens):
-            row = np.asarray(initializer(n, gen))
-            if row.shape != (n,):
-                raise ValueError(
-                    f"initializer returned shape {row.shape}, expected ({n},)"
-                )
-            mat[i] = row.astype(dtype, copy=False)
+            mat[i] = _initializer_row(initializer, n, gen).astype(
+                dtype, copy=False
+            )
     else:
         counts = np.broadcast_to(
             np.asarray(initial_blue_counts, dtype=np.int64), (replicas,)
@@ -442,24 +459,14 @@ def _initial_kernel_state(
         )
     n = kernel.n
     if initial_opinions is not None:
-        mat = np.asarray(initial_opinions)
+        mat = _explicit_opinions(initial_opinions, replicas, n)
         if mat.ndim == 1:
-            if mat.shape != (n,):
-                raise ValueError(
-                    f"initial_opinions must have shape ({replicas}, {n}) or "
-                    f"({n},), got {mat.shape}"
-                )
             # Shared row: project once, repeat — never materialise (R, n).
             row = protocol.prepare_state(
                 mat[None, :].astype(protocol.opinion_dtype, copy=True)
             )
             return np.repeat(
                 kernel.state_from_opinions(row), replicas, axis=0
-            )
-        if mat.shape != (replicas, n):
-            raise ValueError(
-                f"initial_opinions must have shape ({replicas}, {n}) or "
-                f"({n},), got {mat.shape}"
             )
         mat = protocol.prepare_state(
             mat.astype(protocol.opinion_dtype, copy=True)
@@ -470,75 +477,112 @@ def _initial_kernel_state(
     gens = spawn_generators(init_ss, replicas)
     state = np.empty((replicas, kernel.num_slots), dtype=np.int64)
     for i, gen in enumerate(gens):
-        row = np.asarray(initializer(n, gen))
-        if row.shape != (n,):
-            raise ValueError(
-                f"initializer returned shape {row.shape}, expected ({n},)"
-            )
         row = protocol.prepare_state(
-            row[None, :].astype(protocol.opinion_dtype, copy=True)
+            _initializer_row(initializer, n, gen)[None, :].astype(
+                protocol.opinion_dtype, copy=True
+            )
         )
         state[i] = kernel.state_from_opinions(row)[0]
     return state
 
 
-def _run_count_chain(
-    kernel: CountChainKernel,
+_HISTORY_ROWS = 32
+"""Initial row capacity of the trajectory buffer (doubled when full)."""
+
+
+def _drive(
     protocol,
-    state0: np.ndarray,
-    rng: np.random.Generator,
+    n: int,
+    state: np.ndarray,
+    step: Callable[[np.ndarray], np.ndarray],
+    totals: Callable[[np.ndarray], np.ndarray],
+    *,
+    method: str,
     max_steps: int,
     record_trajectories: bool,
+    keep_final: bool = False,
 ) -> EnsembleResult:
-    n = kernel.n
-    replicas = state0.shape[0]
-    totals0 = kernel.blue_totals(state0)
+    """The engine's round loop, shared by the count chain and the dense path.
+
+    *state* is the ``(R, ·)`` ensemble state (kernel slot counts on the
+    count chain, the opinion matrix on the dense path), ``step(state)``
+    advances every row by one round and ``totals(state)`` gives the
+    per-replica progress statistic.  Replicas the protocol reports
+    absorbed are recorded and compacted out, so finished runs stop
+    costing work.  On the dense path (``method="batched"``) the protocol
+    also sees the opinion matrices after/before each round, and
+    *keep_final* keeps every replica's terminal row.
+
+    Trajectories go into one ``(rounds, R)`` buffer that doubles when
+    full — never ``max_steps`` rows up front.
+    """
+    dense = method == "batched"
+    replicas = state.shape[0]
     steps = np.zeros(replicas, dtype=np.int64)
     winners = np.full(replicas, -1, dtype=np.int64)
     converged = np.zeros(replicas, dtype=bool)
-    final_totals = np.asarray(totals0, dtype=np.int64).copy()
-    traj: list[list[int]] | None = (
-        [[int(c)] for c in totals0] if record_trajectories else None
-    )
-    absorbed = protocol.absorbed(totals0, n)
-    w0 = protocol.winners(totals0[absorbed], n)
-    converged[absorbed] = w0 >= 0
-    winners[absorbed] = w0
-    live = np.nonzero(~absorbed)[0]
-    state = state0[live]
+    final = np.empty_like(state) if keep_final else None
+    cur = totals(state)
+    final_totals = np.asarray(cur, dtype=np.int64).copy()
+    history = None
+    if record_trajectories:
+        history = np.empty(
+            (min(max_steps + 1, _HISTORY_ROWS), replicas), dtype=np.int64
+        )
+        history[0] = cur
+    live = np.arange(replicas)
+    prev = None
     t = 0
-    while live.size and t < max_steps:
-        state = protocol.kernel_step(kernel, state, rng)
-        totals = kernel.blue_totals(state)
-        t += 1
-        if traj is not None:
-            for idx, c in zip(live, totals):
-                traj[idx].append(int(c))
-        done = protocol.absorbed(totals, n)
+    while True:
+        done = protocol.absorbed(
+            cur, n, state=state if dense else None, prev=prev
+        )
         if done.any():
             hit = live[done]
-            w = protocol.winners(totals[done], n)
+            w = protocol.winners(
+                cur[done], n, state=state[done] if dense else None
+            )
             converged[hit] = w >= 0
             steps[hit] = t
             winners[hit] = w
-            final_totals[hit] = totals[done]
-            live = live[~done]
-            state = state[~done]
-    if live.size:
-        steps[live] = t
-        final_totals[live] = kernel.blue_totals(state)
+            final_totals[hit] = cur[done]
+            if final is not None:
+                final[hit] = state[done]
+            keep = ~done
+            live, state, cur = live[keep], state[keep], cur[keep]
+        if not live.size or t >= max_steps:
+            break
+        prev = state if dense else None
+        state = step(state)
+        cur = totals(state)
+        t += 1
+        if history is not None:
+            if t == history.shape[0]:
+                grown = np.empty(
+                    (min(2 * t, max_steps + 1), replicas), dtype=np.int64
+                )
+                grown[:t] = history
+                history = grown
+            history[t, live] = cur
+    steps[live] = t
+    final_totals[live] = cur
+    if final is not None:
+        final[live] = state
+    trajectories = None
+    if history is not None:
+        rows = np.ascontiguousarray(history[: t + 1].T)
+        trajectories = [
+            rows[i, : s + 1].copy() for i, s in enumerate(steps.tolist())
+        ]
     return EnsembleResult(
         n=n,
         replicas=replicas,
         steps=steps,
         winners=winners,
         converged=converged,
-        method="count_chain",
-        blue_trajectories=(
-            [np.asarray(rows, dtype=np.int64) for rows in traj]
-            if traj is not None
-            else None
-        ),
+        method=method,
+        blue_trajectories=trajectories,
+        final_opinions=final,
         final_totals=final_totals,
     )
 
@@ -553,76 +597,25 @@ def _run_batched(
     keep_final: bool,
     max_batch_bytes: int,
 ) -> EnsembleResult:
-    n = graph.num_vertices
-    replicas = init_matrix.shape[0]
-    dtype = init_matrix.dtype
-    steps = np.zeros(replicas, dtype=np.int64)
-    winners = np.full(replicas, -1, dtype=np.int64)
-    converged = np.zeros(replicas, dtype=bool)
-    final = (
-        np.empty((replicas, n), dtype=dtype) if keep_final else None
-    )
-    counts0 = protocol.totals(init_matrix)
-    final_totals = np.asarray(counts0, dtype=np.int64).copy()
-    traj: list[list[int]] | None = (
-        [[int(c)] for c in counts0] if record_trajectories else None
-    )
-    absorbed = protocol.absorbed(counts0, n, state=init_matrix, prev=None)
-    w0 = protocol.winners(counts0[absorbed], n, state=init_matrix[absorbed])
-    converged[absorbed] = w0 >= 0
-    winners[absorbed] = w0
-    if final is not None:
-        final[absorbed] = init_matrix[absorbed]
-    live = np.nonzero(~absorbed)[0]
-    ops = init_matrix[live].copy()
-    buffer = np.empty_like(ops)
-    t = 0
-    while live.size and t < max_steps:
+    """The dense path: :func:`_drive` over a double-buffered
+    ``protocol.step_batch``.  Each round writes into the matrix the
+    previous round read, so rounds allocate nothing beyond compaction;
+    *init_matrix* is owned by the engine and gets overwritten."""
+    spare = np.empty_like(init_matrix)
+
+    def step(ops: np.ndarray) -> np.ndarray:
+        nonlocal spare
+        out = spare[: ops.shape[0]]
         protocol.step_batch(
-            graph, ops, rng, out=buffer, max_batch_bytes=max_batch_bytes
+            graph, ops, rng, out=out, max_batch_bytes=max_batch_bytes
         )
-        ops, buffer = buffer, ops
-        t += 1
-        counts = protocol.totals(ops)
-        if traj is not None:
-            for idx, c in zip(live, counts):
-                traj[idx].append(int(c))
-        # After the swap, ``buffer`` holds the pre-round state —
-        # deterministic protocols detect fixed points against it.
-        done = protocol.absorbed(counts, n, state=ops, prev=buffer)
-        if done.any():
-            hit = live[done]
-            w = protocol.winners(counts[done], n, state=ops[done])
-            converged[hit] = w >= 0
-            steps[hit] = t
-            winners[hit] = w
-            final_totals[hit] = counts[done]
-            if final is not None:
-                final[hit] = ops[done]
-            # Compact: absorbed replicas stop costing sampling work.
-            keep = ~done
-            live = live[keep]
-            ops = ops[keep]
-            buffer = buffer[: ops.shape[0]]
-    if live.size:
-        steps[live] = t
-        final_totals[live] = protocol.totals(ops)
-        if final is not None:
-            final[live] = ops
-    return EnsembleResult(
-        n=n,
-        replicas=replicas,
-        steps=steps,
-        winners=winners,
-        converged=converged,
-        method="batched",
-        blue_trajectories=(
-            [np.asarray(rows, dtype=np.int64) for rows in traj]
-            if traj is not None
-            else None
-        ),
-        final_opinions=final,
-        final_totals=final_totals,
+        spare = ops
+        return out
+
+    return _drive(
+        protocol, graph.num_vertices, init_matrix, step, protocol.totals,
+        method="batched", max_steps=max_steps,
+        record_trajectories=record_trajectories, keep_final=keep_final,
     )
 
 
@@ -648,9 +641,8 @@ def _run_batched_threaded(
     on *workers*: any worker count ≥ 1 computes bit-identical results,
     and the pool merely decides how many blocks advance at once.  The
     heavy per-round kernels (uniform draw, flat take, axis reduction)
-    release the GIL inside numpy — and the whole fused pass does under
-    the compiled kernel's ``nogil=True`` — which is where the
-    multi-core scaling comes from.
+    release the GIL inside numpy, which is where the multi-core scaling
+    comes from.
     """
     n = graph.num_vertices
     replicas = init_matrix.shape[0]

@@ -58,7 +58,7 @@ routes each host family to the fastest *exact* engine path (DESIGN.md
 | complete bipartite / `complete_multipartite` | per-part count chains | O(parts) per replica |
 | `two_clique_bridge` | two clique chains + explicit bridge endpoints | O(1 + bridges) per replica |
 | CSR hosts (`erdos_renyi`, `random_regular`, `ring_lattice`, `star_polluted`), `rook` | batched dense rounds | O(n·k) per replica |
-| dense hosts past `R·n·k = 2²²` samples/round | threaded replica blocks (+ numba-fused gather→vote→adopt when available); bit-identical at any worker count | O(n·k / workers) per replica |
+| dense hosts past `R·n·k = 2²²` samples/round | threaded replica blocks; bit-identical at any worker count | O(n·k / workers) per replica |
 
 Protocols select the transition on those routes (DESIGN.md §2.6): a
 `Protocol` object supplies the batched step, the count-chain adoption

@@ -1,6 +1,6 @@
 """The repo-specific rule catalogue (DESIGN.md §2.9).
 
-Six rule families, each enforcing an invariant the library's
+Five rule families, each enforcing an invariant the library's
 guarantees rest on:
 
 ``rng`` (RNG001)
@@ -40,13 +40,6 @@ guarantees rest on:
     you can declare but not execute (or not schedule) is a runtime
     crash waiting in a worker.
 
-``backend`` (BKND001)
-    The dense hot path (``core/dense.py``) is backend-pure: every array
-    op goes through the :class:`~repro.core.backend.ArrayBackend`
-    contract, so direct numpy imports or ``np.*`` attribute use there
-    is a report — ``core/backend.py`` is the one module allowed to
-    bind numpy (DESIGN.md §2.10).
-
 Rules are pure functions of parsed ASTs — nothing here imports the
 modules it audits, so the linter can also judge code too broken to
 import.
@@ -64,7 +57,6 @@ from repro.lint.engine import Finding, SourceFile
 __all__ = [
     "ALL_RULES",
     "Rule",
-    "BackendPurityRule",
     "DeterminismRule",
     "LockDisciplineRule",
     "RegistryCompletenessRule",
@@ -985,85 +977,12 @@ class RegistryCompletenessRule(Rule):
                         )
 
 
-# -- BKND001: backend purity of the dense hot path ---------------------
-
-_BKND_SCOPED_SUFFIXES = ("core/dense.py",)
-
-
-class BackendPurityRule(Rule):
-    rule_ids = ("BKND001",)
-    family = "backend"
-    description = (
-        "dense hot-path modules (core/dense.py) must route every array "
-        "op through the ArrayBackend contract from core/backend.py — "
-        "no numpy imports or np.* attribute use"
-    )
-
-    def check_file(self, src: SourceFile) -> Iterator[Finding]:
-        if not src.rel.endswith(_BKND_SCOPED_SUFFIXES):
-            return
-        imports = _import_map(src.tree)
-        hint = (
-            "go through repro.core.backend.get_backend() (or add the "
-            "missing op to BACKEND_OPS) so the hot path stays "
-            "retargetable to non-numpy array backends"
-        )
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy" or alias.name.startswith("numpy."):
-                        yield Finding(
-                            path=src.rel,
-                            line=node.lineno,
-                            rule="BKND001",
-                            message=(
-                                f"numpy imported ({alias.name}) in a "
-                                "backend-pure dense hot-path module"
-                            ),
-                            hint=hint,
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module and (
-                    node.module == "numpy"
-                    or node.module.startswith("numpy.")
-                ):
-                    yield Finding(
-                        path=src.rel,
-                        line=node.lineno,
-                        rule="BKND001",
-                        message=(
-                            f"from {node.module} import ... in a "
-                            "backend-pure dense hot-path module"
-                        ),
-                        hint=hint,
-                    )
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.value, ast.Name
-            ):
-                # `np.take(...)`, `numpy.sum(...)` — any attribute chain
-                # rooted at a name that resolves to numpy.
-                origin = imports.get(node.value.id, node.value.id)
-                if origin == "numpy" or origin.startswith("numpy."):
-                    yield Finding(
-                        path=src.rel,
-                        line=node.lineno,
-                        rule="BKND001",
-                        message=(
-                            f"direct numpy use "
-                            f"{node.value.id}.{node.attr} in a "
-                            "backend-pure dense hot-path module"
-                        ),
-                        hint=hint,
-                    )
-
-
 ALL_RULES: tuple[Rule, ...] = (
     RngDisciplineRule(),
     DeterminismRule(),
     LockDisciplineRule(),
     SqliteThreadRule(),
     RegistryCompletenessRule(),
-    BackendPurityRule(),
 )
 
 

@@ -312,6 +312,17 @@ class TestEngineApi:
         with pytest.raises(ValueError, match="exactly one"):
             run_ensemble(g, replicas=2, delta=0.1, initial_blue_counts=5)
 
+    @pytest.mark.parametrize("shape", [(63,), (2, 64), (3, 63)])
+    @pytest.mark.parametrize("method", ["batched", "count_chain"])
+    def test_bad_initial_opinions_shape(self, method, shape):
+        # Both paths raise the library's own message, not numpy's
+        # broadcast error.
+        with pytest.raises(ValueError, match="initial_opinions must have shape"):
+            run_ensemble(
+                CompleteGraph(64), replicas=3, method=method,
+                initial_opinions=np.zeros(shape, dtype=np.uint8),
+            )
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             run_ensemble(

@@ -1,4 +1,4 @@
-"""Dense-path acceleration: threading, fused kernel, array backend (ISSUE 10).
+"""Dense-path acceleration: the threaded replica-block layout.
 
 Load-bearing claims:
 
@@ -10,20 +10,12 @@ Load-bearing claims:
    default auto policy below the workload threshold reproduce the
    pre-1.8 single-stream results byte-for-byte (goldens stay valid),
    and serial vs threaded agree in distribution (KS);
-3. **kernel equivalence** — the fused gather→vote→adopt chunk kernel
-   consumes exactly the uniform draws the numpy reference path consumes
-   and matches it bit-for-bit (as plain Python always; numba-jitted when
-   numba is present);
-4. **backend conformance** — the numpy :class:`ArrayBackend` binds the
-   full ``BACKEND_OPS`` contract, the registry/env selection behaves,
-   and the feature gate (``REPRO_DENSE_KERNEL``) hard-fails rather than
-   silently substituting a path;
-5. **auto-routing** (the ``engine_auto`` satellite) — ``method="auto"``
+3. **auto-routing** (the ``engine_auto`` satellite) — ``method="auto"``
    routes exchangeable hosts to their count chain as before, and dense
    hosts thread exactly when the per-round sample count crosses
    :data:`DENSE_AUTO_THREAD_MIN_SAMPLES`, so auto never runs the dense
    layout measured slower than the legacy loop on big hosts;
-6. **spec plumbing** — ``ProtocolSpec.threads`` validates, enters the
+4. **spec plumbing** — ``ProtocolSpec.threads`` validates, enters the
    canonical content only when set (pre-1.8 cache keys stable), and
    round-trips through ``point_from_canonical``.
 """
@@ -36,23 +28,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.core import backend as backend_mod
 from repro.core import dense
-from repro.core.backend import (
-    BACKEND_OPS,
-    ArrayBackend,
-    available_dense_kernels,
-    get_backend,
-    register_backend,
-    select_dense_kernel,
-)
 from repro.core.dense import (
     DENSE_AUTO_THREAD_MIN_SAMPLES,
-    fused_best_of_k_chunk,
-    fused_kernel_supported,
     replica_blocks,
     resolve_dense_threads,
-    step_best_of_k_batch,
 )
 from repro.core.dynamics import TieRule
 from repro.core.ensemble import run_ensemble
@@ -67,11 +47,8 @@ from repro.sweeps.spec import (
     canonical_point,
     point_from_canonical,
 )
-from repro.util.rng import as_generator
 
 KS_ALPHA = 1e-3  # deterministic seeds: failures mean real drift, not noise
-
-HAVE_NUMBA = "compiled" in available_dense_kernels()
 
 SMALL_BATCH = 4096  # forces many replica blocks on the test hosts
 
@@ -212,137 +189,7 @@ class TestSerialCompatibility:
         assert blue_gap < 0.1
 
 
-# -- 3. fused-kernel equivalence ---------------------------------------
-
-
-def reference_and_fused(graph, ops, k, seed, impl):
-    ref = step_best_of_k_batch(
-        graph, ops, k, as_generator(seed), kernel="numpy"
-    )
-    rng = as_generator(seed)
-    n = graph.num_vertices
-    u = rng.random((ops.shape[0], n, k))
-    out = np.empty_like(ops)
-    impl(
-        u,
-        graph.degrees,
-        graph.indptr,
-        graph.indices,
-        np.ascontiguousarray(ops).reshape(-1),
-        ops,
-        out,
-        0,
-        n,
-        k,
-    )
-    return ref, out
-
-
-class TestFusedKernel:
-    @pytest.mark.parametrize("k", [1, 3, 4, 5])
-    def test_python_fused_is_bit_identical(self, er_host, k):
-        rng = as_generator(2024)
-        ops = (rng.random((16, er_host.num_vertices)) < 0.45).astype(np.uint8)
-        ref, out = reference_and_fused(
-            er_host, ops, k, 77, fused_best_of_k_chunk
-        )
-        assert np.array_equal(ref, out)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_compiled_fused_is_bit_identical(self, er_host):
-        from repro.core.backend import compile_dense_kernel
-
-        compiled = compile_dense_kernel(fused_best_of_k_chunk)
-        rng = as_generator(4)
-        ops = (rng.random((12, er_host.num_vertices)) < 0.5).astype(np.uint8)
-        for k in (3, 4):
-            ref, out = reference_and_fused(er_host, ops, k, 31, compiled)
-            assert np.array_equal(ref, out)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_compiled_step_matches_numpy_step(self, er_host):
-        rng_a = as_generator(88)
-        rng_b = as_generator(88)
-        ops = (as_generator(1).random((20, er_host.num_vertices)) < 0.4).astype(
-            np.uint8
-        )
-        a = step_best_of_k_batch(er_host, ops, 3, rng_a, kernel="numpy")
-        b = step_best_of_k_batch(er_host, ops, 3, rng_b, kernel="compiled")
-        assert np.array_equal(a, b)
-
-    def test_support_gate(self, er_host):
-        assert fused_kernel_supported(er_host, 3, TieRule.RANDOM)
-        assert fused_kernel_supported(er_host, 4, TieRule.KEEP_SELF)
-        # random ties at even k would consume extra stream: excluded.
-        assert not fused_kernel_supported(er_host, 4, TieRule.RANDOM)
-        assert not fused_kernel_supported(CompleteGraph(64), 3, TieRule.KEEP_SELF)
-
-
-# -- 4. backend conformance + feature gate -----------------------------
-
-
-class TestBackendConformance:
-    def test_numpy_backend_binds_full_contract(self):
-        B = get_backend("numpy")
-        for op in BACKEND_OPS:
-            assert callable(getattr(B, op)), op
-        assert B.uint8 is np.uint8 and B.int64 is np.int64
-        assert B.xp is np
-
-    def test_uniform_draws_on_caller_stream(self):
-        B = get_backend("numpy")
-        assert np.array_equal(
-            B.uniform(as_generator(5), (3, 2)), as_generator(5).random((3, 2))
-        )
-
-    def test_incomplete_namespace_rejected(self):
-        class Hollow:
-            uint8 = np.uint8
-
-        with pytest.raises(ValueError, match="lacks"):
-            ArrayBackend("hollow", Hollow())
-
-    def test_unknown_backend_lists_registry(self):
-        with pytest.raises(ValueError, match="numpy"):
-            get_backend("cupy-not-registered")
-
-    def test_register_and_env_selection(self, monkeypatch):
-        register_backend("numpy-alias", lambda: ArrayBackend("numpy-alias", np))
-        try:
-            monkeypatch.setenv(backend_mod.ARRAY_BACKEND_ENV, "numpy-alias")
-            assert get_backend().name == "numpy-alias"
-        finally:
-            backend_mod._FACTORIES.pop("numpy-alias", None)
-            backend_mod._INSTANCES.pop("numpy-alias", None)
-
-    def test_kernel_gate_grammar(self, monkeypatch):
-        assert select_dense_kernel("numpy") == "numpy"
-        with pytest.raises(ValueError, match="unknown dense kernel"):
-            select_dense_kernel("cython")
-        monkeypatch.setenv(backend_mod.DENSE_KERNEL_ENV, "numpy")
-        assert select_dense_kernel() == "numpy"
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba present: compiled is valid")
-    def test_compiled_without_numba_is_hard_error(self):
-        with pytest.raises(RuntimeError, match="numba"):
-            select_dense_kernel("compiled")
-
-    def test_auto_matches_numba_availability(self):
-        expected = "compiled" if HAVE_NUMBA else "numpy"
-        assert select_dense_kernel(None) in available_dense_kernels()
-        assert dense.dense_kernel_name() == select_dense_kernel(None) == expected
-
-    def test_step_batch_runs_on_active_backend(self, er_host):
-        # The protocol step drives the hot path end to end through the
-        # backend namespace (the conformance smoke for BKND001's point).
-        ops = (as_generator(6).random((8, er_host.num_vertices)) < 0.5).astype(
-            np.uint8
-        )
-        out = BestOfK(3).step_batch(er_host, ops, as_generator(7))
-        assert out.shape == ops.shape and out.dtype == ops.dtype
-
-
-# -- 5. threading policy + auto-routing pin ----------------------------
+# -- 3. threading policy + auto-routing pin ----------------------------
 
 
 class TestThreadPolicy:
@@ -355,6 +202,10 @@ class TestThreadPolicy:
             resolve_dense_threads(100, 3, 10, -2)
         with pytest.raises(ValueError):
             resolve_dense_threads(100, 3, 10, "fast")
+        # bool is an int subclass, but True is not a worker count.
+        for flag in (True, False):
+            with pytest.raises(ValueError):
+                resolve_dense_threads(100, 3, 10, flag)
 
     def test_auto_policy_thresholds_on_samples(self, monkeypatch):
         # R·n·k below the threshold: serial; at/above: threaded.  Pin a
@@ -414,7 +265,7 @@ class TestThreadPolicy:
         assert big.method == "batched" and big.threads >= 1
 
 
-# -- 6. spec plumbing --------------------------------------------------
+# -- 4. spec plumbing --------------------------------------------------
 
 
 class TestSpecPlumbing:

@@ -40,7 +40,6 @@ RULE_FAMILIES = (
     "lock-discipline",
     "sqlite-thread",
     "registry",
-    "backend",
 )
 
 
@@ -136,31 +135,6 @@ class TestRegistryRule:
         # Covers dict-valued branches and step_batch resolution through
         # an abstract base + an inheriting subclass.
         assert lint_fixture("registry_clean") == []
-
-
-class TestBackendRule:
-    def test_fires_on_numpy_in_dense_hot_path(self):
-        findings = lint_fixture("bknd_bad")
-        hits = fired(findings)
-        mod = "bknd_bad/core/dense.py"
-        assert ("BKND001", mod, 3) in hits  # import numpy as np
-        assert ("BKND001", mod, 4) in hits  # from numpy import take
-        assert ("BKND001", mod, 8) in hits  # np.take
-        assert ("BKND001", mod, 9) in hits  # np.sum
-        assert {f.rule for f in findings} == {"BKND001"}
-        assert len(hits) == 4
-
-    def test_silent_on_backend_pure_module(self):
-        assert lint_fixture("bknd_clean") == []
-
-    def test_scope_is_dense_module_only(self):
-        # The same numpy use outside core/dense.py is not this rule's
-        # business — core/backend.py is *the* numpy-binding module.
-        from repro.lint.rules import BackendPurityRule
-
-        findings = run_lint([REPO / "src" / "repro" / "core" / "backend.py"], root=REPO)
-        assert not [f for f in findings if f.rule == "BKND001"]
-        assert "core/dense.py" in BackendPurityRule.description
 
 
 # -- engine + CLI behaviour --------------------------------------------
