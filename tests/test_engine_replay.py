@@ -20,6 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.dynamics import TieRule
 from repro.core.ensemble import run_ensemble
 from repro.core.protocols import (
     BestOfK,
@@ -56,6 +57,22 @@ CASES = {
     ),
     "dense_rook_serial": lambda: run_ensemble(
         RookGraph(14), replicas=20, k=3, seed=12, delta=0.08, max_steps=400,
+    ),
+    # The benchmark rook job's layout: threaded, three-replica blocks.
+    "dense_rook_threads2": lambda: run_ensemble(
+        RookGraph(32), replicas=48, k=3, seed=25, delta=0.05, max_steps=400,
+        threads=2, max_batch_bytes=120_000, keep_final=True,
+    ),
+    "dense_rook_k5": lambda: run_ensemble(
+        RookGraph(14), replicas=16, k=5, seed=26, delta=0.05, max_steps=400,
+    ),
+    "dense_even_k_keep_self": lambda: run_ensemble(
+        RookGraph(14), replicas=12, k=4, tie_rule=TieRule.KEEP_SELF,
+        seed=27, delta=0.1, max_steps=60, keep_final=True,
+    ),
+    "dense_even_k_random": lambda: run_ensemble(
+        _er(), replicas=12, k=2, tie_rule=TieRule.RANDOM, seed=28,
+        delta=0.1, max_steps=60, keep_final=True,
     ),
     "dense_rr_threads2": lambda: run_ensemble(
         random_regular(256, 16, seed=5), replicas=40, k=3, seed=13,
@@ -175,6 +192,22 @@ RECORDED: dict[str, dict[str, str]] = {
         "final_totals": "ecf332d83ac459e1",
         "trajectories": "6914bfa3f1bc59c1",
     },
+    "dense_even_k_keep_self": {
+        "steps": "176f3e3b49a77ae4",
+        "winners": "cdfe3ecddd6a7219",
+        "converged": "9a659a13e1a7d1ac",
+        "final_totals": "cdfe3ecddd6a7219",
+        "trajectories": "b2bb36b53fd22829",
+        "final_opinions": "0bb27d8956841bf6",
+    },
+    "dense_even_k_random": {
+        "steps": "7aaf6e530cff9073",
+        "winners": "5ea5d3ef69c4ecc3",
+        "converged": "4070dc1c7f5da2c9",
+        "final_totals": "9fa9efe7a5edab7d",
+        "trajectories": "176c969371954a0a",
+        "final_opinions": "df375f2a7753a3de",
+    },
     "dense_keep_final": {
         "steps": "f64c8903a5541eb5",
         "winners": "484f4071a1a614a9",
@@ -191,12 +224,27 @@ RECORDED: dict[str, dict[str, str]] = {
         "trajectories": "b1dbc16d7661e384",
         "final_opinions": "c1eb8a152608fc2b",
     },
+    "dense_rook_k5": {
+        "steps": "caa47d5315ae1d02",
+        "winners": "9bb48420b349ee79",
+        "converged": "8dff6f4c5abfb965",
+        "final_totals": "86b2188fd2ec1a58",
+        "trajectories": "cafdf3eca808ccde",
+    },
     "dense_rook_serial": {
         "steps": "bacdb8c682e0bdcb",
         "winners": "b10abb91dff8f5c7",
         "converged": "a3661b5d0b99b071",
         "final_totals": "b10abb91dff8f5c7",
         "trajectories": "db8be27db7764414",
+    },
+    "dense_rook_threads2": {
+        "steps": "5cc912341452debc",
+        "winners": "846336bbc85aa516",
+        "converged": "0dd649a4b0deafa7",
+        "final_totals": "ad8614820c86accb",
+        "trajectories": "79d42dc9484b26d2",
+        "final_opinions": "8e9a5880c9d7625d",
     },
     "dense_rr_threads2": {
         "steps": "406c1fde3a617c31",
