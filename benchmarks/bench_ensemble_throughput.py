@@ -432,8 +432,10 @@ def bench_dense_scaling(
     (always ``numpy``).
 
     CI's ``dense-scaling`` job guards this entry: best-threaded ≥ 2× the
-    serial dense path on the 4-core runner, and ``auto`` at least as
-    fast as the legacy loop.
+    serial dense path on the 4-core runner, ``auto`` at least as fast
+    as the legacy loop, and the serial dense path
+    (``serial_speedup_vs_loop``, single-threaded) at least as fast as
+    the loop too.
     """
     from repro.core.dense import dense_kernel_name
 
@@ -482,6 +484,7 @@ def bench_dense_scaling(
         "loop_replicas_per_sec": replicas / t_loop,
         "serial_seconds": t_serial,
         "serial_replicas_per_sec": replicas / t_serial,
+        "serial_speedup_vs_loop": t_loop / t_serial,
         "threads": per_thread,
         "threaded_bit_identical": bit_identical,
         "best_threads": best,

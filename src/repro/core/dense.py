@@ -51,7 +51,10 @@ chunk, which is where batching beats the per-trial loop outright (the
 per-call overhead regime).
 """
 
-_BYTES_PER_SAMPLE = 13  # float64 draw (8) + int32 id (4) + uint8 gather (1)
+# A partition constant, not a measurement: it fixes the chunk and block
+# sizes, hence the seeded streams, so it stays 13 (float64 draw + int32
+# id + uint8 gather) whatever the samplers actually allocate.
+_BYTES_PER_SAMPLE = 13
 
 DENSE_AUTO_THREAD_MIN_SAMPLES = 1 << 22
 """Per-round sample count ``R·n·k`` above which ``threads=None`` engages
@@ -60,12 +63,14 @@ the threaded layout.
 Below it the engine keeps the legacy serial stream (small seeded runs —
 the harness grids, the goldens — stay byte-stable); above it the round
 is DRAM-bound enough that per-block streams and a thread pool win.  The
-re-tuned auto policy exists because the serial dense path measured
-*slower* than the per-trial loop on rook-like hosts
-(``batched_vs_loop_rook``, 0.92×): any workload big enough to hit that
-regime now auto-threads, and the threaded path is never slower than the
-loop.  The threshold is a pure function of the workload, so the decision
-— and therefore the result bytes — is machine-independent.
+auto policy was re-tuned when the serial dense path measured *slower*
+than the per-trial loop on rook-like hosts (``batched_vs_loop_rook``,
+0.92× at v1.4.0).  Since the int32 rook sampler and the slice-wise vote
+count, serial rook runs ~1.8× the loop (``serial_speedup_vs_loop`` of
+``bench_dense_scaling``, ``n = 2¹⁴``, ``R = 96``); threading past this
+threshold is for the extra cores, not to dodge a slow serial path.  The
+threshold is a pure function of the workload, so the decision — and
+therefore the result bytes — is machine-independent.
 """
 
 DENSE_BLOCKS_TARGET = 16
@@ -156,6 +161,25 @@ def dense_kernel_name() -> str:
 # ----------------------------------------------------------------------
 
 
+_UNROLL_MAX_K = 16
+"""Largest ``k`` whose vote count adds the ``k`` sample slices one by one.
+
+Up to here the slice-wise ``np.add`` is several times faster than
+``np.sum(axis=2)`` on the ``(rows, n, k)`` tensor (0.11 against 1.0 ms
+on a ``(3, 2¹⁴, 3)`` chunk); near ``k = 20`` the two cross."""
+
+
+def _count_votes(gathered, votes):
+    """``votes = gathered.sum(axis=2)`` in ``votes.dtype``, same bytes."""
+    k = gathered.shape[2]
+    if k > _UNROLL_MAX_K:
+        np.sum(gathered, axis=2, dtype=votes.dtype, out=votes)
+        return
+    np.copyto(votes, gathered[:, :, 0])
+    for j in range(1, k):
+        np.add(votes, gathered[:, :, j], out=votes)
+
+
 def step_best_of_k_batch(
     graph,
     opinions,
@@ -221,7 +245,7 @@ def step_best_of_k_batch(
             flat_idx = samples.astype(offset_dtype)
             flat_idx += offsets[:, None, None]
         np.take(flat_ops, flat_idx, out=gathered[:rows])
-        np.sum(gathered[:rows], axis=2, dtype=vote_dtype, out=votes[:rows])
+        _count_votes(gathered[:rows], votes[:rows])
         np.greater(votes[:rows], half, out=out[lo:hi])
         if k % 2 == 0:
             tied = votes[:rows] == half

@@ -108,8 +108,9 @@ class Graph(abc.ABC):
         -----
         The default implementation tiles the vertex array and reshapes —
         correct for every host because rows of :meth:`sample_neighbors` are
-        i.i.d.  Hosts with a cheaper closed form (``K_n``, CSR) override it
-        to avoid the tiled id array and to emit ``int32`` indices.
+        i.i.d.  Hosts with a cheaper closed form (``K_n``, rook, CSR)
+        override it to avoid the tiled id array and to emit ``int32``
+        indices.
         """
         replicas = int(replicas)
         if replicas < 1:

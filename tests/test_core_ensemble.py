@@ -25,7 +25,11 @@ from repro.core.ensemble import (
 )
 from repro.core.opinions import BLUE, RED, exact_count_opinions, random_opinions
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.implicit import CompleteGraph, RookGraph
+from repro.graphs.implicit import (
+    CompleteBipartiteGraph,
+    CompleteGraph,
+    RookGraph,
+)
 from repro.util.rng import spawn_generators
 
 
@@ -111,7 +115,8 @@ class TestBatchedSampling:
                 assert set(s[r, v].tolist()) <= neigh[v]
 
     def test_generic_fallback_shape(self):
-        g = RookGraph(8)
+        # K_{a,b} has no batch override: the base class's tiled path.
+        g = CompleteBipartiteGraph(24, 40)
         rng = np.random.default_rng(6)
         s = g.sample_neighbors_batch(g.vertex_ids, 2, rng, 5)
         assert s.shape == (5, 64, 2)

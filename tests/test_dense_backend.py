@@ -229,6 +229,20 @@ class TestThreadPolicy:
         assert resolve_dense_threads(n, k, big_r, "auto") == 1
         assert resolve_dense_threads(n, k, big_r, 1) == 1
 
+    @pytest.mark.parametrize(
+        "cores, n, replicas, want",
+        [
+            (2, 2**14, 96, 2),  # rook 128x128: past the threshold
+            (1, 2**14, 96, 0),  # ... but one core never threads
+            (2, 8192, 64, 0),  # the CSR host stays below it
+        ],
+    )
+    def test_auto_routes_benchmark_shapes(
+        self, monkeypatch, cores, n, replicas, want
+    ):
+        monkeypatch.setattr(dense.os, "cpu_count", lambda: cores)
+        assert resolve_dense_threads(n, 3, replicas, None) == want
+
     def test_blocks_cover_and_ignore_thread_count(self):
         blocks = replica_blocks(100, 300, 3, SMALL_BATCH)
         assert blocks[0][0] == 0 and blocks[-1][1] == 100

@@ -169,3 +169,101 @@ class TestRookGraph:
     def test_board_too_small(self):
         with pytest.raises(ValueError, match="m >= 2"):
             RookGraph(1)
+
+
+def _rook_vertex_sets(m):
+    n = m * m
+    rng = np.random.default_rng(m)
+    return {
+        "all": np.arange(n),
+        # repeated and unsorted ids, both ends of the board included
+        "subset": np.concatenate(
+            [[n - 1, 0, n - 1], rng.integers(0, n, size=11), [0]]
+        ),
+    }
+
+
+def _rook_reference(m, vertices, k, rng, replicas):
+    """The generic tiled path with the original int64 ``np.where`` mapping.
+
+    Written out here because ``Graph.sample_neighbors_batch`` would call
+    back into ``RookGraph.sample_neighbors``, i.e. the code under test.
+    """
+    flat = np.tile(np.asarray(vertices, dtype=np.int64), replicas)
+    row, col = flat // m, flat % m
+    draws = rng.integers(0, 2 * (m - 1), size=(flat.size, k), dtype=np.int64)
+    new_col = draws + (draws >= col[:, None])
+    new_row = draws - (m - 1)
+    new_row = new_row + (new_row >= row[:, None])
+    out = np.where(
+        draws < (m - 1), row[:, None] * m + new_col, new_row * m + col[:, None]
+    )
+    return out.reshape(replicas, len(vertices), k)
+
+
+class TestRookBatchSampler:
+    """The rook override against the generic tiled int64 path."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 14, 128])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("replicas", [1, 4])
+    def test_bytes_equal_generic_path(self, m, k, replicas):
+        g = RookGraph(m)
+        for vertices in _rook_vertex_sets(m).values():
+            got = g.sample_neighbors_batch(
+                vertices, k, np.random.default_rng(9), replicas
+            )
+            want = _rook_reference(
+                m, vertices, k, np.random.default_rng(9), replicas
+            )
+            assert got.dtype == np.int32
+            assert got.shape == (replicas, vertices.size, k)
+            np.testing.assert_array_equal(got, want)
+
+    def test_single_sample_call_is_batch_slice(self):
+        g = RookGraph(7)
+        vertices = _rook_vertex_sets(7)["subset"]
+        one = g.sample_neighbors(vertices, 3, np.random.default_rng(4))
+        batch = g.sample_neighbors_batch(vertices, 3, np.random.default_rng(4), 1)
+        assert one.dtype == np.int64
+        np.testing.assert_array_equal(one, batch[0])
+
+    def test_widest_int32_board(self):
+        g = RookGraph(46340)  # n = 46340**2 < 2**31: int32, blend may wrap
+        n = g.num_vertices
+        assert g.index_dtype == np.int32
+        vertices = np.array([0, n - 1, 46339, n - 46340, 12_345_678])
+        got = g.sample_neighbors_batch(vertices, 50, np.random.default_rng(3), 3)
+        want = _rook_reference(
+            g.board_size, vertices, 50, np.random.default_rng(3), 3
+        )
+        np.testing.assert_array_equal(got, want)
+
+    def test_int64_fallback_past_int32_ids(self):
+        g = RookGraph(46341)  # n = 46341**2 >= 2**31
+        n = g.num_vertices
+        assert n >= 2**31 and g.index_dtype == np.int64
+        vertices = np.array([0, n - 1])
+        got = g.sample_neighbors_batch(vertices, 3, np.random.default_rng(2), 4)
+        want = _rook_reference(
+            g.board_size, vertices, 3, np.random.default_rng(2), 4
+        )
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        m = g.board_size
+        row, col = got // m, got % m
+        same_row = row == (vertices // m)[None, :, None]
+        same_col = col == (vertices % m)[None, :, None]
+        assert np.all(same_row ^ same_col)
+
+    def test_empty_vertices_and_validation(self):
+        g = RookGraph(4)
+        rng = np.random.default_rng(0)
+        empty = g.sample_neighbors_batch(np.array([], int), 3, rng, 2)
+        assert empty.shape == (2, 0, 3)
+        with pytest.raises(ValueError, match="replicas"):
+            g.sample_neighbors_batch(g.vertex_ids, 3, rng, 0)
+        with pytest.raises(ValueError, match="k must be"):
+            g.sample_neighbors_batch(g.vertex_ids, 0, rng, 1)
+        with pytest.raises(ValueError, match="vertex ids"):
+            g.sample_neighbors_batch(np.array([16]), 3, rng, 1)
