@@ -161,22 +161,14 @@ def dense_kernel_name() -> str:
 # ----------------------------------------------------------------------
 
 
-_UNROLL_MAX_K = 16
-"""Largest ``k`` whose vote count adds the ``k`` sample slices one by one.
-
-Up to here the slice-wise ``np.add`` is several times faster than
-``np.sum(axis=2)`` on the ``(rows, n, k)`` tensor (0.11 against 1.0 ms
-on a ``(3, 2¹⁴, 3)`` chunk); near ``k = 20`` the two cross."""
-
-
 def _count_votes(gathered, votes):
-    """``votes = gathered.sum(axis=2)`` in ``votes.dtype``, same bytes."""
-    k = gathered.shape[2]
-    if k > _UNROLL_MAX_K:
-        np.sum(gathered, axis=2, dtype=votes.dtype, out=votes)
-        return
+    """``votes = gathered.sum(axis=2)`` in ``votes.dtype``, same bytes.
+
+    Adds the ``k`` sample slices one by one: several times faster than
+    ``np.sum(axis=2)`` on the ``(rows, n, k)`` tensor (0.11 against
+    1.0 ms on a ``(3, 2¹⁴, 3)`` chunk)."""
     np.copyto(votes, gathered[:, :, 0])
-    for j in range(1, k):
+    for j in range(1, gathered.shape[2]):
         np.add(votes, gathered[:, :, j], out=votes)
 
 

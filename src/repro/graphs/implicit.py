@@ -348,6 +348,11 @@ class RookGraph(Graph):
         whenever ``n < 2**31``, where the generic tiled path spends 8.  A
         draw below ``2**32`` yields the same values in ``int32`` and
         ``int64``, so the ids equal the generic path's byte for byte.
+
+        Peak scratch is about ``10 + 12/R`` bytes per sample in int32:
+        the draw (which becomes the ids), one int32 and two bool
+        temporaries, plus three repeated per-(vertex, draw) operands
+        shared by the ``R`` replicas.
         """
         replicas = int(replicas)
         if replicas < 1:
@@ -376,8 +381,8 @@ class RookGraph(Graph):
         flat *= m
         flat += col
         # Blend arithmetically: a masked select on random draws is ~10x
-        # slower than these passes (branch mispredictions).  Near
-        # n = 2**31 the difference can wrap; modular addition undoes it.
+        # slower than these passes (branch mispredictions).  Both ids lie
+        # in [0, n), so the difference fits the index dtype.
         row_move -= flat
         row_move *= in_row
         flat += row_move

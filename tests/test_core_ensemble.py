@@ -156,6 +156,19 @@ class TestBatchedStep:
         assert out.shape == batch.shape
         assert set(np.unique(out)) <= {0, 1}
 
+    @pytest.mark.parametrize("k", [1, 3, 17, 301])
+    def test_votes_count_every_sample(self, k):
+        """The round is the strict majority of the ``k`` gathered samples."""
+        g = RookGraph(8)
+        batch = np.stack([random_opinions(64, 0.0, rng=i) for i in range(3)])
+        out = step_best_of_k_batch(g, batch, k, np.random.default_rng(12))
+        samples = g.sample_neighbors_batch(
+            g.vertex_ids, k, np.random.default_rng(12), 3
+        )
+        votes = np.stack([batch[r][samples[r]] for r in range(3)])
+        want = votes.sum(axis=2, dtype=np.int64) > k // 2
+        np.testing.assert_array_equal(out, want.astype(np.uint8))
+
     def test_out_aliasing_rejected(self):
         g = CompleteGraph(64)
         batch = np.zeros((2, 64), dtype=np.uint8)

@@ -229,7 +229,7 @@ class TestRookBatchSampler:
         np.testing.assert_array_equal(one, batch[0])
 
     def test_widest_int32_board(self):
-        g = RookGraph(46340)  # n = 46340**2 < 2**31: int32, blend may wrap
+        g = RookGraph(46340)  # widest int32 board: n = 46340**2 < 2**31
         n = g.num_vertices
         assert g.index_dtype == np.int32
         vertices = np.array([0, n - 1, 46339, n - 46340, 12_345_678])
