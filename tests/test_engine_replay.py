@@ -1,12 +1,15 @@
-"""Seeded replay pins for every ensemble-engine route.
+"""Seeded replay pins for every ensemble-engine route and per-trial path.
 
-Each case runs :func:`run_ensemble` with a fixed seed and compares
-sha256 digests of every result field — ``steps``, ``winners``,
+Each ``CASES`` entry runs :func:`run_ensemble` with a fixed seed and
+compares sha256 digests of every result field — ``steps``, ``winners``,
 ``converged``, ``final_totals``, every trajectory and (where kept)
-``final_opinions`` — against recorded values.  A refactor of the engine
-loop, the dense step or the count chain must leave all of them
-byte-identical; a deliberate stream change has to re-record them here
-and say so.
+``final_opinions`` — against recorded values.  Each ``TRIAL_CASES``
+entry pins the per-trial surface the same way: both samplers on every
+host kind, the single-replica round and runner, the ensemble wrapper and
+the sampling duals, digesting arrays with their dtypes.  A refactor of
+the engine loop, the dense step, a sampler or the count chain must leave
+all of them byte-identical; a deliberate stream change has to re-record
+them here and say so.
 
 Regenerate the table with::
 
@@ -20,17 +23,23 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.dynamics import TieRule
+from repro.analysis.experiments import run_consensus_ensemble
+from repro.core.dynamics import BestOfKDynamics, TieRule, step_best_of_k
 from repro.core.ensemble import run_ensemble
 from repro.core.protocols import (
+    AsyncSweepBestOfK,
     BestOfK,
     LocalMajority,
     NoisyBestOfK,
     Plurality,
     ZealotBestOfK,
 )
+from repro.core.voting_dag import VotingDAG
+from repro.dual.coalescing import coalescing_random_walk
+from repro.dual.cobra import cobra_walk
 from repro.graphs.generators import erdos_renyi, random_regular
 from repro.graphs.implicit import (
+    CompleteBipartiteGraph,
     CompleteGraph,
     CompleteMultipartiteGraph,
     RookGraph,
@@ -129,6 +138,126 @@ CASES = {
     ),
 }
 
+# Bipartite and multipartite hosts forced onto the dense path (their
+# ``auto`` route is the count chain).
+for _host, _make in (
+    ("bipartite", lambda: CompleteBipartiteGraph(12, 20)),
+    ("multipartite", lambda: CompleteMultipartiteGraph([7, 11, 13])),
+):
+    CASES[f"dense_{_host}_best_of_k"] = lambda m=_make: run_ensemble(
+        m(), replicas=10, protocol=BestOfK(3), seed=29, delta=0.1,
+        max_steps=200, method="batched", keep_final=True,
+    )
+    CASES[f"dense_{_host}_plurality"] = lambda m=_make: run_ensemble(
+        m(), replicas=8, protocol=Plurality(3), seed=30,
+        initializer=lambda n, g: g.integers(0, 3, size=n), max_steps=200,
+        method="batched",
+    )
+    CASES[f"dense_{_host}_async"] = lambda m=_make: run_ensemble(
+        m(), replicas=8, protocol=AsyncSweepBestOfK(3), seed=31, delta=0.1,
+        max_steps=200, method="batched",
+    )
+
+# ----------------------------------------------------------------------
+# Per-trial paths: samplers, single-replica rounds, wrappers and duals
+# ----------------------------------------------------------------------
+
+HOSTS = {
+    "complete": lambda: CompleteGraph(40),
+    "bipartite": lambda: CompleteBipartiteGraph(12, 20),
+    "multipartite": lambda: CompleteMultipartiteGraph([7, 11, 13]),
+    "rook": lambda: RookGraph(6),
+    "rr": lambda: random_regular(60, 8, seed=5),
+    "er": lambda: erdos_renyi(80, 0.15, seed=7),
+}
+
+# Repeated and unsorted: repeats must get independent draws.
+SUBSET = np.array([5, 0, 5, 29, 3, 3, 1, 17], dtype=np.int64)
+
+
+def _samplers(host: str, k: int) -> dict[str, np.ndarray]:
+    g = HOSTS[host]()
+    return {
+        "single": g.sample_neighbors(SUBSET, k, np.random.default_rng(40 + k)),
+        "batch4": g.sample_neighbors_batch(
+            SUBSET, k, np.random.default_rng(50 + k), 4
+        ),
+    }
+
+
+def _rounds(host: str, k: int, tie_rule: TieRule) -> dict[str, np.ndarray]:
+    g = HOSTS[host]()
+    n = g.num_vertices
+    x = (np.random.default_rng(60 + k).random(n) < 0.45).astype(np.uint8)
+    rng = np.random.default_rng(70 + k)
+    steps = [x]
+    for _ in range(3):
+        steps.append(step_best_of_k(g, steps[-1], k, rng, tie_rule=tie_rule))
+    res = BestOfKDynamics(g, k, tie_rule=tie_rule).run(
+        x, seed=80 + k, max_steps=50
+    )
+    return {
+        "steps": np.stack(steps),
+        "run_trajectory": res.blue_trajectory,
+        "run_final": res.final_opinions,
+    }
+
+
+def _input_dtypes() -> dict[str, np.ndarray]:
+    """The per-trial round takes bool, int and float opinions, emits uint8."""
+    g = HOSTS["er"]()
+    x = np.random.default_rng(90).random(g.num_vertices) < 0.45
+    return {
+        name: step_best_of_k(g, x.astype(dtype), 2, np.random.default_rng(91))
+        for name, dtype in (("bool", np.bool_), ("int64", np.int64),
+                            ("float64", np.float64))
+    }
+
+
+def _duals(host: str) -> dict[str, np.ndarray]:
+    g = HOSTS[host]()
+    walk = cobra_walk(g, [3, 0, 3], 4, k=3, rng=100)
+    coal = coalescing_random_walk(g, rng=101, max_steps=500)
+    dag = VotingDAG.sample(g, 2, 3, rng=102)
+    return {
+        "cobra": np.concatenate(walk.occupied),
+        "coalescing": np.concatenate(
+            [coal.cluster_trajectory, coal.final_positions]
+        ),
+        "dag_levels": np.concatenate(dag.levels),
+        "dag_children": np.concatenate(
+            [cp.ravel() for cp in dag.child_positions[1:]]
+        ),
+    }
+
+
+def _consensus(host: str) -> dict[str, np.ndarray]:
+    ens = run_consensus_ensemble(
+        HOSTS[host](), trials=12, seed=110, delta=0.1, max_steps=300
+    )
+    return {
+        "steps": ens.steps,
+        "winners": ens.winners,
+        "unconverged": np.array([ens.unconverged]),
+    }
+
+
+TRIAL_CASES = {"round_input_dtypes": _input_dtypes}
+for _host in HOSTS:
+    for _k in (1, 2, 3, 5):
+        TRIAL_CASES[f"sample_{_host}_k{_k}"] = (
+            lambda h=_host, k=_k: _samplers(h, k)
+        )
+    for _k, _rule in ((1, TieRule.KEEP_SELF), (2, TieRule.KEEP_SELF),
+                      (2, TieRule.RANDOM), (3, TieRule.KEEP_SELF),
+                      (5, TieRule.KEEP_SELF)):
+        TRIAL_CASES[f"round_{_host}_k{_k}_{_rule.value}"] = (
+            lambda h=_host, k=_k, r=_rule: _rounds(h, k, r)
+        )
+    TRIAL_CASES[f"duals_{_host}"] = lambda h=_host: _duals(h)
+for _host in ("complete", "rook", "er"):
+    TRIAL_CASES[f"consensus_{_host}"] = lambda h=_host: _consensus(h)
+
 
 def _sha(arr) -> str:
     arr = np.ascontiguousarray(arr)
@@ -185,6 +314,28 @@ RECORDED: dict[str, dict[str, str]] = {
         "final_totals": "63f51e42727e467a",
         "trajectories": "2e0f8eeabf75f4c4",
     },
+    "dense_bipartite_async": {
+        "steps": "773f562abbf45409",
+        "winners": "cef7d9433519aa9d",
+        "converged": "8a707039840658f2",
+        "final_totals": "1a466bf9b482745d",
+        "trajectories": "740f98fe59cc2ff8",
+    },
+    "dense_bipartite_best_of_k": {
+        "steps": "f2af05b1bf8c07aa",
+        "winners": "079adf78a4425268",
+        "converged": "a9d9d482d7b31866",
+        "final_totals": "55569fe16d09b5cf",
+        "trajectories": "a401e5adcb614522",
+        "final_opinions": "6ec2b2270de2c84f",
+    },
+    "dense_bipartite_plurality": {
+        "steps": "32350dc9f4428987",
+        "winners": "a65ebb6f21df8f7a",
+        "converged": "4e2b40d0d0242d77",
+        "final_totals": "3da8ed5923beecb4",
+        "trajectories": "eca226af2e0b7ebc",
+    },
     "dense_csr_serial": {
         "steps": "205da60bb0f7139f",
         "winners": "ecf332d83ac459e1",
@@ -223,6 +374,28 @@ RECORDED: dict[str, dict[str, str]] = {
         "final_totals": "293bc8b21b4eaece",
         "trajectories": "b1dbc16d7661e384",
         "final_opinions": "c1eb8a152608fc2b",
+    },
+    "dense_multipartite_async": {
+        "steps": "d7e114bd4e19cddd",
+        "winners": "a71a1b97dd27414b",
+        "converged": "8a707039840658f2",
+        "final_totals": "48ae032624c14aa9",
+        "trajectories": "743f99ba0860fa4a",
+    },
+    "dense_multipartite_best_of_k": {
+        "steps": "9f317cca042fc83b",
+        "winners": "0e5e0b6e9709d34c",
+        "converged": "39f13e8b58c6cae3",
+        "final_totals": "2635f35ee079db54",
+        "trajectories": "460ff672abf70d2d",
+        "final_opinions": "0f7aaff97e129d9e",
+    },
+    "dense_multipartite_plurality": {
+        "steps": "d073c6745ed7e637",
+        "winners": "183574ae4b26f51b",
+        "converged": "8a707039840658f2",
+        "final_totals": "1b03f1dc33955248",
+        "trajectories": "c096a1541521434f",
     },
     "dense_rook_k5": {
         "steps": "caa47d5315ae1d02",
@@ -298,10 +471,325 @@ RECORDED: dict[str, dict[str, str]] = {
 }
 
 
+def trial_digests(arrays: dict[str, np.ndarray]) -> dict[str, str]:
+    return {name: _sha(arr) for name, arr in arrays.items()}
+
+
+RECORDED_TRIAL: dict[str, dict[str, str]] = {
+    "consensus_complete": {
+        "steps": "07e06bf1767de623",
+        "winners": "51ac0ce84e8aa875",
+        "unconverged": "ba553f9413e2fef9",
+    },
+    "consensus_er": {
+        "steps": "cd0156c6e4069112",
+        "winners": "51ac0ce84e8aa875",
+        "unconverged": "ba553f9413e2fef9",
+    },
+    "consensus_rook": {
+        "steps": "97d55daea6f84925",
+        "winners": "1a68a0ba0abe9751",
+        "unconverged": "ba553f9413e2fef9",
+    },
+    "duals_bipartite": {
+        "cobra": "dbbb74ccde25f5a3",
+        "coalescing": "cbe4ac739d74b55d",
+        "dag_levels": "f06227de44d778ca",
+        "dag_children": "1445f098abb1419b",
+    },
+    "duals_complete": {
+        "cobra": "cfc164ce328bceb6",
+        "coalescing": "c0e78da2a21f2b6d",
+        "dag_levels": "b29f96db47a009ef",
+        "dag_children": "506aa3ae57a349fd",
+    },
+    "duals_er": {
+        "cobra": "ed08c118af3f1d2e",
+        "coalescing": "023394dea173bcda",
+        "dag_levels": "593bc28a9178749c",
+        "dag_children": "c44e2193bc318d90",
+    },
+    "duals_multipartite": {
+        "cobra": "bd7505d59376f5c1",
+        "coalescing": "549cfe081489a224",
+        "dag_levels": "fddc41d27746cf2c",
+        "dag_children": "09fd96d0f0ab95c1",
+    },
+    "duals_rook": {
+        "cobra": "b9f954751a937252",
+        "coalescing": "06c02e948eefeea8",
+        "dag_levels": "004ff993b422897e",
+        "dag_children": "632027ab3e756aa7",
+    },
+    "duals_rr": {
+        "cobra": "41521857183c280e",
+        "coalescing": "7cd3dd75f6bb64b2",
+        "dag_levels": "0fdeb54e5508870f",
+        "dag_children": "66ee6d47d90ab728",
+    },
+    "round_bipartite_k1_keep_self": {
+        "steps": "6c518c18db0314c6",
+        "run_trajectory": "1a61a14a59392c7d",
+        "run_final": "05ac0fbd9e8e883b",
+    },
+    "round_bipartite_k2_keep_self": {
+        "steps": "8e99df15a92dd546",
+        "run_trajectory": "4c51e45e05c03772",
+        "run_final": "05ac0fbd9e8e883b",
+    },
+    "round_bipartite_k2_random": {
+        "steps": "809a79679a8860e2",
+        "run_trajectory": "90460cecfd8fb41d",
+        "run_final": "05ac0fbd9e8e883b",
+    },
+    "round_bipartite_k3_keep_self": {
+        "steps": "7160ea6916fc379a",
+        "run_trajectory": "187af05904715f13",
+        "run_final": "9407ae5008d08b2a",
+    },
+    "round_bipartite_k5_keep_self": {
+        "steps": "43ddc17a13c687f0",
+        "run_trajectory": "5571dc29fdec36b3",
+        "run_final": "09413ecc134f1076",
+    },
+    "round_complete_k1_keep_self": {
+        "steps": "ed8b11296cbbdcb1",
+        "run_trajectory": "040d8013191031e2",
+        "run_final": "fc5d30360d399e96",
+    },
+    "round_complete_k2_keep_self": {
+        "steps": "7b3045bd1fc459cc",
+        "run_trajectory": "319fa3803686b7a7",
+        "run_final": "09418e034d8397e5",
+    },
+    "round_complete_k2_random": {
+        "steps": "9384c0819e74431c",
+        "run_trajectory": "057a1f3df6f3988c",
+        "run_final": "fc5d30360d399e96",
+    },
+    "round_complete_k3_keep_self": {
+        "steps": "c5fd941408def6be",
+        "run_trajectory": "d5bfbeb50072add7",
+        "run_final": "fc5d30360d399e96",
+    },
+    "round_complete_k5_keep_self": {
+        "steps": "8f8a4574c5e3c5e8",
+        "run_trajectory": "8f65d1daa988187e",
+        "run_final": "fc5d30360d399e96",
+    },
+    "round_er_k1_keep_self": {
+        "steps": "700fdfa5c6a13df6",
+        "run_trajectory": "d0031a5d33cb0fa8",
+        "run_final": "c293af094a06c430",
+    },
+    "round_er_k2_keep_self": {
+        "steps": "821829ac0e9c7bf6",
+        "run_trajectory": "6f5766c691c025e9",
+        "run_final": "bbbcbbb284babf4f",
+    },
+    "round_er_k2_random": {
+        "steps": "c79b3dca22965ca4",
+        "run_trajectory": "dc10cb4a63c9d7cd",
+        "run_final": "c6906345ca6971cb",
+    },
+    "round_er_k3_keep_self": {
+        "steps": "3bd4cd2fed2f22e7",
+        "run_trajectory": "909b501f5aa6580a",
+        "run_final": "bbbcbbb284babf4f",
+    },
+    "round_er_k5_keep_self": {
+        "steps": "f71ce0240563dcba",
+        "run_trajectory": "648668bde75889f3",
+        "run_final": "bbbcbbb284babf4f",
+    },
+    "round_input_dtypes": {
+        "bool": "e04dea36ad50e1bf",
+        "int64": "e04dea36ad50e1bf",
+        "float64": "e04dea36ad50e1bf",
+    },
+    "round_multipartite_k1_keep_self": {
+        "steps": "9a17ffafbe1afc8c",
+        "run_trajectory": "f458044d58cece6d",
+        "run_final": "f98e7363597a9db7",
+    },
+    "round_multipartite_k2_keep_self": {
+        "steps": "d03fe9109cb8e282",
+        "run_trajectory": "332793d254f65dd0",
+        "run_final": "99abb0dc942652cc",
+    },
+    "round_multipartite_k2_random": {
+        "steps": "0d79ae01fd0d8c70",
+        "run_trajectory": "e1ab096f49927190",
+        "run_final": "99abb0dc942652cc",
+    },
+    "round_multipartite_k3_keep_self": {
+        "steps": "f413ad29b8304700",
+        "run_trajectory": "975592c573c05d89",
+        "run_final": "f98e7363597a9db7",
+    },
+    "round_multipartite_k5_keep_self": {
+        "steps": "a48921669b070755",
+        "run_trajectory": "2c8ed16f547b1200",
+        "run_final": "99abb0dc942652cc",
+    },
+    "round_rook_k1_keep_self": {
+        "steps": "568b3081196340cf",
+        "run_trajectory": "d59369c944398a4f",
+        "run_final": "972b52c45f4282e4",
+    },
+    "round_rook_k2_keep_self": {
+        "steps": "b18700646732f38b",
+        "run_trajectory": "9d1bdaff6958a566",
+        "run_final": "09eddab42a57bed8",
+    },
+    "round_rook_k2_random": {
+        "steps": "5bd17aeabd438cac",
+        "run_trajectory": "f91e771948afa50f",
+        "run_final": "66242b1b63c16958",
+    },
+    "round_rook_k3_keep_self": {
+        "steps": "be36e72e9d46d694",
+        "run_trajectory": "44e970342d1cad9d",
+        "run_final": "09eddab42a57bed8",
+    },
+    "round_rook_k5_keep_self": {
+        "steps": "22cb47dab048802f",
+        "run_trajectory": "7b54de026488a8e1",
+        "run_final": "09eddab42a57bed8",
+    },
+    "round_rr_k1_keep_self": {
+        "steps": "4763ef236aa1e0dd",
+        "run_trajectory": "c69b7d7325c545f3",
+        "run_final": "405220427f8e5586",
+    },
+    "round_rr_k2_keep_self": {
+        "steps": "5b81f9d3958cc319",
+        "run_trajectory": "bf2df77f965da77b",
+        "run_final": "405220427f8e5586",
+    },
+    "round_rr_k2_random": {
+        "steps": "c0762af3db4d853d",
+        "run_trajectory": "c4f04c0bf9d43815",
+        "run_final": "405220427f8e5586",
+    },
+    "round_rr_k3_keep_self": {
+        "steps": "9cd75c9bf446398f",
+        "run_trajectory": "2b530ca7b6e2ca70",
+        "run_final": "e837ac83ca8b21b5",
+    },
+    "round_rr_k5_keep_self": {
+        "steps": "18f937399c9dd9af",
+        "run_trajectory": "c88a03759f5b6631",
+        "run_final": "e837ac83ca8b21b5",
+    },
+    "sample_bipartite_k1": {
+        "single": "cb62ac7b6bc0cbb8",
+        "batch4": "bcab82fb95257682",
+    },
+    "sample_bipartite_k2": {
+        "single": "ca361b52c88ba4c5",
+        "batch4": "fa9b7785f5f3a350",
+    },
+    "sample_bipartite_k3": {
+        "single": "88d4e560302c9be9",
+        "batch4": "73060c7fca4c5c4c",
+    },
+    "sample_bipartite_k5": {
+        "single": "e756bf85e16c5981",
+        "batch4": "6a951942c61399d0",
+    },
+    "sample_complete_k1": {
+        "single": "ebddae10fc0ee192",
+        "batch4": "8fccd244babab73e",
+    },
+    "sample_complete_k2": {
+        "single": "7b06b103c35f026b",
+        "batch4": "c2d217da5f51fe91",
+    },
+    "sample_complete_k3": {
+        "single": "caeae008339f9d1e",
+        "batch4": "84f457ae10ab63de",
+    },
+    "sample_complete_k5": {
+        "single": "0452d3cae5f426ed",
+        "batch4": "895010310c294a6c",
+    },
+    "sample_er_k1": {
+        "single": "33905694914d65a4",
+        "batch4": "868c0408939332df",
+    },
+    "sample_er_k2": {
+        "single": "e095127a8d529b6b",
+        "batch4": "040c10f597648f7c",
+    },
+    "sample_er_k3": {
+        "single": "145e12d1092c8b50",
+        "batch4": "685fa6279dce58b3",
+    },
+    "sample_er_k5": {
+        "single": "f0a386299b17dd3a",
+        "batch4": "887e03a5e2715de5",
+    },
+    "sample_multipartite_k1": {
+        "single": "ed84dd4135a33a1d",
+        "batch4": "749dd0f733fdb1e8",
+    },
+    "sample_multipartite_k2": {
+        "single": "46ff1fd3abb12a59",
+        "batch4": "92ca1597c99030be",
+    },
+    "sample_multipartite_k3": {
+        "single": "52bf8119e0199940",
+        "batch4": "0acfdcb1dcd3e8cf",
+    },
+    "sample_multipartite_k5": {
+        "single": "882c35a59aae1611",
+        "batch4": "df56266442138217",
+    },
+    "sample_rook_k1": {
+        "single": "bcddf07fd5dcc3d6",
+        "batch4": "e2511f20287cf5a2",
+    },
+    "sample_rook_k2": {
+        "single": "a866800ac7aaee48",
+        "batch4": "439b665a4b76fc08",
+    },
+    "sample_rook_k3": {
+        "single": "5c0a5cf7cbe6d290",
+        "batch4": "21346adf37e408b6",
+    },
+    "sample_rook_k5": {
+        "single": "d791c3d8444cdffa",
+        "batch4": "74ff59bd3c641c37",
+    },
+    "sample_rr_k1": {
+        "single": "fa892d9f85adb051",
+        "batch4": "8d03eb91ce503ac9",
+    },
+    "sample_rr_k2": {
+        "single": "4719b0cd945df2a1",
+        "batch4": "42c5a1f1d8b5a200",
+    },
+    "sample_rr_k3": {
+        "single": "d2b738d076d4c219",
+        "batch4": "1026c8b70c1e929a",
+    },
+    "sample_rr_k5": {
+        "single": "ad4e5aee118fa72a",
+        "batch4": "6aee946b8e575930",
+    },
+}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_seeded_bytes_replay(case):
     res = CASES[case]()
     assert digests(res) == RECORDED[case]
+
+
+@pytest.mark.parametrize("case", sorted(TRIAL_CASES))
+def test_per_trial_seeded_bytes_replay(case):
+    assert trial_digests(TRIAL_CASES[case]()) == RECORDED_TRIAL[case]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -315,10 +803,14 @@ def test_trajectories_are_owned_and_contiguous(case):
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
-    print("RECORDED: dict[str, dict[str, str]] = {")
-    for name in sorted(CASES):
-        print(f'    "{name}": {{')
-        for key, val in digests(CASES[name]()).items():
-            print(f'        "{key}": "{val}",')
-        print("    },")
-    print("}")
+    for table, cases, digest in (
+        ("RECORDED", CASES, digests),
+        ("RECORDED_TRIAL", TRIAL_CASES, trial_digests),
+    ):
+        print(f"{table}: dict[str, dict[str, str]] = {{")
+        for name in sorted(cases):
+            print(f'    "{name}": {{')
+            for key, val in digest(cases[name]()).items():
+                print(f'        "{key}": "{val}",')
+            print("    },")
+        print("}")
