@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.core.dynamics import BestOfKDynamics
 from repro.core.ensemble import EnsembleResult, run_ensemble
-from repro.core.opinions import BLUE, RED, random_opinions
+from repro.core.opinions import BLUE, RED
 from repro.graphs.base import Graph
-from repro.util.rng import SeedLike, spawn_generators
+from repro.util.rng import SeedLike
 from repro.util.validation import check_positive_int
 
 __all__ = ["ConsensusEnsemble", "run_consensus_ensemble"]
@@ -128,7 +128,9 @@ def run_consensus_ensemble(
     trials, seed, max_steps:
         Ensemble controls.
     dynamics_factory:
-        Builds the protocol from the graph (default: Best-of-3).
+        Builds the protocol from the graph (default: Best-of-3); must
+        return a plain :class:`BestOfKDynamics`, whose ``k`` and
+        ``tie_rule`` configure the engine.
     initializer:
         ``(n, rng) -> opinions``; default draws the paper's i.i.d.
         configuration with bias *delta* (which must then be given).
@@ -144,50 +146,24 @@ def run_consensus_ensemble(
             return BestOfKDynamics(g, k=3)
 
     dyn = dynamics_factory(graph)
-    if type(dyn) is BestOfKDynamics:
-        # Batched fast path: one engine call simulates every trial (and
-        # CompleteGraph hosts collapse to the exact count chain).  Exact
-        # type check, not isinstance: a subclass may override run()/step()
-        # with different dynamics, which the engine would silently ignore.
-        ens = run_ensemble(
-            dyn.graph,
-            replicas=trials,
-            k=dyn.k,
-            tie_rule=dyn.tie_rule,
-            seed=seed,
-            max_steps=max_steps,
-            delta=delta if initializer is None else None,
-            initializer=initializer,
-            record_trajectories=False,
+    # Exact type check, not isinstance: a subclass may override run()/step()
+    # with different dynamics, which the engine would silently ignore.
+    if type(dyn) is not BestOfKDynamics:
+        raise TypeError(
+            "dynamics_factory must return a BestOfKDynamics (not a "
+            f"subclass), got {type(dyn).__name__}"
         )
-        return ConsensusEnsemble.from_ensemble_result(ens)
-
-    # Generic fallback for exotic dynamics objects that merely quack like
-    # BestOfKDynamics (custom .run): the original sequential loop.
-    if initializer is None:
-        bias = float(delta)
-
-        def initializer(n: int, rng: np.random.Generator) -> np.ndarray:
-            return random_opinions(n, bias, rng=rng)
-
-    n = graph.num_vertices
-    gens = spawn_generators(seed, 2 * trials)
-    steps: list[int] = []
-    winners: list[int] = []
-    unconverged = 0
-    for i in range(trials):
-        init = initializer(n, gens[2 * i])
-        result = dyn.run(
-            init, seed=gens[2 * i + 1], max_steps=max_steps, keep_final=False
-        )
-        if result.converged:
-            steps.append(result.steps)
-            winners.append(int(result.winner))
-        else:
-            unconverged += 1
-    return ConsensusEnsemble(
-        trials=trials,
-        steps=np.asarray(steps, dtype=np.int64),
-        winners=np.asarray(winners, dtype=np.int64),
-        unconverged=unconverged,
+    # One engine call simulates every trial (and CompleteGraph hosts
+    # collapse to the exact count chain).
+    ens = run_ensemble(
+        dyn.graph,
+        replicas=trials,
+        k=dyn.k,
+        tie_rule=dyn.tie_rule,
+        seed=seed,
+        max_steps=max_steps,
+        delta=delta if initializer is None else None,
+        initializer=initializer,
+        record_trajectories=False,
     )
+    return ConsensusEnsemble.from_ensemble_result(ens)

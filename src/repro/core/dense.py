@@ -65,10 +65,11 @@ the harness grids, the goldens — stay byte-stable); above it the round
 is DRAM-bound enough that per-block streams and a thread pool win.  The
 auto policy was re-tuned when the serial dense path measured *slower*
 than the per-trial loop on rook-like hosts (``batched_vs_loop_rook``,
-0.92× at v1.4.0).  Since the int32 rook sampler and the slice-wise vote
-count, serial rook runs ~1.8× the loop (``serial_speedup_vs_loop`` of
-``bench_dense_scaling``, ``n = 2¹⁴``, ``R = 96``); threading past this
-threshold is for the extra cores, not to dodge a slow serial path.  The
+0.92× at v1.4.0).  Serial rook now runs ~1.3× the loop, whose round
+is this module's ``R = 1`` round (``serial_speedup_vs_loop`` of
+``bench_dense_scaling``, ``n = 2¹⁴``, ``R = 96``, median of 5 on a
+2-vCPU host); threading past this threshold is for the extra cores, not
+to dodge a slow serial path.  The
 threshold is a pure function of the workload, so the decision — and
 therefore the result bytes — is machine-independent.
 """
@@ -204,7 +205,7 @@ def step_best_of_k_batch(
     replicas = opinions.shape[0]
     if out is None:
         out = np.empty_like(opinions)
-    elif out is opinions:
+    elif np.shares_memory(out, opinions):
         raise ValueError("out must not alias opinions (synchronous update)")
     elif out.shape != opinions.shape:
         raise ValueError(

@@ -8,9 +8,11 @@ one of the tied opinions).  ``k = 3`` is the paper's protocol;
 
 Implementation notes (hpc-parallel guide compliance):
 
-* One round = one ``(n, k)`` sample matrix + one gather + one row
-  reduction.  No Python-level loop over vertices; the per-round cost is a
-  handful of vectorised NumPy kernels.
+* One round is one row of the batched round
+  (:func:`repro.core.dense.step_best_of_k_batch`): one ``(1, n, k)``
+  sample tensor + one gather + one vote reduction.  No Python-level loop
+  over vertices; the per-round cost is a handful of vectorised NumPy
+  kernels.
 * Opinion arrays are ``uint8`` and updates write into a preallocated
   buffer (in-place idiom), so a long run allocates O(1) beyond the
   trajectory record.
@@ -62,12 +64,17 @@ def step_best_of_k(
 ) -> np.ndarray:
     """Apply one synchronous Best-of-k round and return the new opinions.
 
+    One row of :func:`repro.core.dense.step_best_of_k_batch`: the round
+    runs as an ``R = 1`` batch, so it consumes *rng* exactly as a
+    one-replica ensemble round does.
+
     Parameters
     ----------
     graph:
         Host graph (any :class:`repro.graphs.Graph`).
     opinions:
-        Current opinion vector (``uint8`` of shape ``(n,)``), not modified.
+        Current opinion vector of shape ``(n,)``, not modified; ``bool``,
+        integer and float 0/1 vectors are read as ``uint8``.
     k:
         Sample size per vertex; odd values never tie.
     rng:
@@ -76,42 +83,31 @@ def step_best_of_k(
         Only consulted when ``k`` is even.
     out:
         Optional preallocated output buffer (shape ``(n,)``, uint8).  May
-        *not* alias ``opinions`` — the update is synchronous.
+        *not* share memory with ``opinions`` — the update is synchronous.
 
     Returns
     -------
     numpy.ndarray
         New opinion vector (``out`` if given).
     """
+    # Imported here: ``dense`` imports :class:`TieRule` from this module.
+    from repro.core.dense import step_best_of_k_batch
+
     n = graph.num_vertices
     if opinions.shape != (n,):
         raise ValueError(
             f"opinions shape {opinions.shape} does not match graph n={n}"
         )
-    k = check_positive_int(k, "k")
     if out is None:
         out = np.empty(n, dtype=OPINION_DTYPE)
-    elif out is opinions:
-        raise ValueError("out must not alias opinions (synchronous update)")
-    # Cached per-graph id array: the hot loop must not allocate O(n) ids
-    # every round (hoisted per the DESIGN.md §2.3 engine notes).
-    samples = graph.sample_neighbors(graph.vertex_ids, k, rng)
-    blue_votes = opinions[samples].sum(axis=1, dtype=np.int64)
-    if k % 2 == 1:
-        out[:] = (blue_votes * 2 > k).astype(OPINION_DTYPE)
-        return out
-    # Even k: strict majority either way, else tie rule.
-    twice = blue_votes * 2
-    out[:] = (twice > k).astype(OPINION_DTYPE)
-    tied = twice == k
-    if tie_rule is TieRule.KEEP_SELF:
-        out[tied] = opinions[tied]
-    elif tie_rule is TieRule.RANDOM:
-        n_tied = int(np.count_nonzero(tied))
-        if n_tied:
-            out[tied] = (rng.random(n_tied) < 0.5).astype(OPINION_DTYPE)
-    else:  # pragma: no cover - exhaustiveness guard
-        raise ValueError(f"unknown tie rule {tie_rule!r}")
+    step_best_of_k_batch(
+        graph,
+        opinions.astype(OPINION_DTYPE, copy=False)[None],
+        k,
+        rng,
+        tie_rule=tie_rule,
+        out=out[None],
+    )
     return out
 
 

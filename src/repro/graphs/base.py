@@ -45,33 +45,6 @@ class Graph(abc.ABC):
         """Integer array of shape ``(n,)`` with the degree of each vertex."""
 
     @abc.abstractmethod
-    def sample_neighbors(
-        self, vertices: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample ``k`` neighbours uniformly *with replacement* per vertex.
-
-        Parameters
-        ----------
-        vertices:
-            1-D integer array of vertex ids (may repeat; repeats get
-            independent samples).
-        k:
-            Number of draws per vertex (the paper's ``k = 3``).
-        rng:
-            Source of randomness.
-
-        Returns
-        -------
-        numpy.ndarray
-            Integer array of shape ``(len(vertices), k)``; row ``i`` holds
-            ``k`` i.i.d. uniform draws from the neighbourhood of
-            ``vertices[i]``.
-        """
-
-    # ------------------------------------------------------------------
-    # Batched sampling (the ensemble engine's hot path)
-    # ------------------------------------------------------------------
-
     def sample_neighbors_batch(
         self,
         vertices: np.ndarray,
@@ -79,18 +52,17 @@ class Graph(abc.ABC):
         rng: np.random.Generator,
         replicas: int,
     ) -> np.ndarray:
-        """Sample ``k`` neighbours per vertex for *replicas* independent runs.
-
-        Semantically equivalent to stacking *replicas* independent calls to
-        :meth:`sample_neighbors`, but issued as one vectorised draw so a
-        whole ensemble round costs a constant number of NumPy kernels.
+        """Sample ``k`` neighbours uniformly *with replacement* per vertex,
+        for *replicas* independent runs — the one sampling method a host
+        implements.
 
         Parameters
         ----------
         vertices:
-            1-D integer array of vertex ids (shared by all replicas).
+            1-D integer array of vertex ids, shared by all replicas (may
+            repeat; repeats get independent samples).
         k:
-            Draws per vertex.
+            Number of draws per vertex (the paper's ``k = 3``).
         rng:
             Source of randomness (one stream serves the whole batch).
         replicas:
@@ -99,26 +71,25 @@ class Graph(abc.ABC):
         Returns
         -------
         numpy.ndarray
-            Integer array of shape ``(replicas, len(vertices), k)``; slice
-            ``[r]`` is distributed exactly like ``sample_neighbors(vertices,
-            k, rng)``.  The dtype may be ``int32`` when vertex ids fit (the
-            engine's reduced-memory-traffic index path).
-
-        Notes
-        -----
-        The default implementation tiles the vertex array and reshapes —
-        correct for every host because rows of :meth:`sample_neighbors` are
-        i.i.d.  Hosts with a cheaper closed form (``K_n``, rook, CSR)
-        override it to avoid the tiled id array and to emit ``int32``
-        indices.
+            Integer array of shape ``(replicas, len(vertices), k)``; entry
+            ``[r, i]`` holds ``k`` i.i.d. uniform draws from the
+            neighbourhood of ``vertices[i]``, independent across ``r`` and
+            ``i``.  The dtype may be ``int32`` when vertex ids fit (the
+            engine's reduced-memory-traffic index path).  Implementations
+            validate their arguments with :meth:`_check_sample_args`.
         """
-        replicas = int(replicas)
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        vertices = self._check_vertices(vertices)
-        flat = np.tile(vertices, replicas)
-        return self.sample_neighbors(flat, k, rng).reshape(
-            replicas, vertices.size, k
+
+    def sample_neighbors(
+        self, vertices: np.ndarray, k: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One replica of :meth:`sample_neighbors_batch`, as ``int64``.
+
+        Returns the ``(len(vertices), k)`` slice ``[0]`` of an ``R = 1``
+        batch: the per-trial paths (the duals, the async sweep) consume
+        the stream exactly as a one-replica ensemble round does.
+        """
+        return self.sample_neighbors_batch(vertices, k, rng, 1)[0].astype(
+            np.int64, copy=False
         )
 
     @property
@@ -257,12 +228,23 @@ class Graph(abc.ABC):
     # Shared validation helpers for subclasses
     # ------------------------------------------------------------------
 
-    def _check_vertices(self, vertices: np.ndarray) -> np.ndarray:
-        """Validate and canonicalise a vertex-id array for sampling calls."""
+    def _check_sample_args(
+        self, vertices: np.ndarray, k: int, replicas: int
+    ) -> tuple[np.ndarray, int]:
+        """Validate a :meth:`sample_neighbors_batch` call; returns the
+        vertex ids as ``int64`` and the replica count."""
+        replicas = int(replicas)
+        if replicas < 1:
+            raise ValueError(f"replicas must be >= 1, got {replicas}")
         vertices = np.asarray(vertices)
         if vertices.ndim != 1:
             raise ValueError(
                 f"vertices must be a 1-D array, got shape {vertices.shape}"
+            )
+        # A float or bool array would be truncated or read as 0/1 ids.
+        if vertices.size and vertices.dtype.kind not in "iu":
+            raise ValueError(
+                f"vertex ids must be integers, got dtype {vertices.dtype}"
             )
         if vertices.size and (
             vertices.min() < 0 or vertices.max() >= self.num_vertices
@@ -271,7 +253,9 @@ class Graph(abc.ABC):
                 f"vertex ids must lie in [0, {self.num_vertices}), got range "
                 f"[{vertices.min()}, {vertices.max()}]"
             )
-        return vertices.astype(np.int64, copy=False)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return vertices.astype(np.int64, copy=False), replicas
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -159,24 +159,6 @@ class CSRGraph(Graph):
             raise ValueError(f"vertex {v} out of range [0, {self.num_vertices})")
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
-    def sample_neighbors(
-        self, vertices: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Vectorised uniform with-replacement neighbour sampling.
-
-        For row ``i`` with vertex ``v``: draw ``k`` offsets uniform in
-        ``[0, deg(v))`` and gather ``indices[indptr[v] + offset]``.  One
-        ``random`` call, one multiply, one gather — the engine's hot path.
-        """
-        vertices = self._check_vertices(vertices)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        deg = self._degrees[vertices]
-        starts = self._indptr[vertices]
-        # Uniform offsets via floor(U * deg): exact because deg < 2**53.
-        offsets = (rng.random((vertices.size, k)) * deg[:, None]).astype(np.int64)
-        return self._indices[starts[:, None] + offsets].astype(np.int64, copy=False)
-
     def sample_neighbors_batch(
         self,
         vertices: np.ndarray,
@@ -190,12 +172,7 @@ class CSRGraph(Graph):
         the CSR storage dtype (``int32`` when the arc count permits), so the
         batch gather moves half the bytes of the ``int64`` path.
         """
-        replicas = int(replicas)
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        vertices = self._check_vertices(vertices)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        vertices, replicas = self._check_sample_args(vertices, k, replicas)
         pos_dtype = self._indices.dtype
         deg = self._degrees[vertices].astype(np.float64)
         starts = self._indptr[vertices].astype(pos_dtype)

@@ -77,16 +77,6 @@ class CompleteGraph(Graph):
 
         return CompleteKernel(self._n)
 
-    def sample_neighbors(
-        self, vertices: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        vertices = self._check_vertices(vertices)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        draws = rng.integers(0, self._n - 1, size=(vertices.size, k), dtype=np.int64)
-        draws += draws >= vertices[:, None]
-        return draws
-
     def sample_neighbors_batch(
         self,
         vertices: np.ndarray,
@@ -99,12 +89,7 @@ class CompleteGraph(Graph):
         One ``integers`` draw of shape ``(R, m, k)`` plus the shift — no
         per-replica work at all, and ``int32`` ids whenever ``n < 2**31``.
         """
-        replicas = int(replicas)
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        vertices = self._check_vertices(vertices)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        vertices, replicas = self._check_sample_args(vertices, k, replicas)
         dtype = self.index_dtype
         draws = rng.integers(
             0, self._n - 1, size=(replicas, vertices.size, k), dtype=dtype
@@ -172,20 +157,22 @@ class CompleteBipartiteGraph(Graph):
 
         return MultipartiteKernel((self._a, self._b))
 
-    def sample_neighbors(
-        self, vertices: np.ndarray, k: int, rng: np.random.Generator
+    def sample_neighbors_batch(
+        self,
+        vertices: np.ndarray,
+        k: int,
+        rng: np.random.Generator,
+        replicas: int,
     ) -> np.ndarray:
-        vertices = self._check_vertices(vertices)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        vertices, replicas = self._check_sample_args(vertices, k, replicas)
         a, b = self._a, self._b
-        is_left = vertices < a
-        out = np.empty((vertices.size, k), dtype=np.int64)
-        u = rng.random((vertices.size, k))
+        u = rng.random((replicas, vertices.size, k))
         # Left vertices sample the right part and vice versa.
-        out[is_left] = a + (u[is_left] * b).astype(np.int64)
-        out[~is_left] = (u[~is_left] * a).astype(np.int64)
-        return out
+        return np.where(
+            (vertices < a)[:, None],
+            a + (u * b).astype(np.int64),
+            (u * a).astype(np.int64),
+        )
 
     def to_csr(self) -> CSRGraph:
         a, b = self._a, self._b
@@ -268,16 +255,20 @@ class CompleteMultipartiteGraph(Graph):
 
         return MultipartiteKernel(self._sizes)
 
-    def sample_neighbors(
-        self, vertices: np.ndarray, k: int, rng: np.random.Generator
+    def sample_neighbors_batch(
+        self,
+        vertices: np.ndarray,
+        k: int,
+        rng: np.random.Generator,
+        replicas: int,
     ) -> np.ndarray:
-        vertices = self._check_vertices(vertices)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        vertices, replicas = self._check_sample_args(vertices, k, replicas)
         part = self._part_of[vertices]
         size = self._sizes[part][:, None]
         offset = self._offsets[part][:, None]
-        draws = (rng.random((vertices.size, k)) * (self._n - size)).astype(np.int64)
+        draws = (
+            rng.random((replicas, vertices.size, k)) * (self._n - size)
+        ).astype(np.int64)
         # Draws at or past the excluded block jump over it.
         draws += np.where(draws >= offset, size, 0)
         return draws
@@ -327,13 +318,6 @@ class RookGraph(Graph):
     def degrees(self) -> np.ndarray:
         return np.full(self._m * self._m, 2 * (self._m - 1), dtype=np.int64)
 
-    def sample_neighbors(
-        self, vertices: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.sample_neighbors_batch(vertices, k, rng, 1)[0].astype(
-            np.int64, copy=False
-        )
-
     def sample_neighbors_batch(
         self,
         vertices: np.ndarray,
@@ -345,21 +329,16 @@ class RookGraph(Graph):
 
         One ``integers`` draw of shape ``(R, |V|, k)``, mapped to
         neighbour ids in place with branch-free arithmetic: 4-byte ids
-        whenever ``n < 2**31``, where the generic tiled path spends 8.  A
-        draw below ``2**32`` yields the same values in ``int32`` and
-        ``int64``, so the ids equal the generic path's byte for byte.
+        whenever ``n < 2**31``.  A draw below ``2**32`` yields the same
+        values in ``int32`` and ``int64``, so the ids equal an ``int64``
+        draw's byte for byte.
 
         Peak scratch is about ``10 + 12/R`` bytes per sample in int32:
         the draw (which becomes the ids), one int32 and two bool
         temporaries, plus three repeated per-(vertex, draw) operands
         shared by the ``R`` replicas.
         """
-        replicas = int(replicas)
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        vertices = self._check_vertices(vertices)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        vertices, replicas = self._check_sample_args(vertices, k, replicas)
         m = self._m
         dtype = self.index_dtype
         row, col = np.divmod(vertices.astype(dtype), m)

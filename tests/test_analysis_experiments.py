@@ -63,6 +63,20 @@ class TestEnsemble:
         )
         assert len(made) == 1  # one dynamics object reused across trials
 
+    def test_factory_must_return_plain_dynamics(self):
+        """The engine runs ``k``/``tie_rule`` only, so anything that could
+        carry other dynamics (a subclass, a duck type) is refused."""
+
+        class Custom(BestOfKDynamics):
+            pass
+
+        g = CompleteGraph(64)
+        for factory in (Custom, lambda graph: object()):
+            with pytest.raises(TypeError, match="dynamics_factory"):
+                run_consensus_ensemble(
+                    g, trials=2, delta=0.2, seed=5, dynamics_factory=factory
+                )
+
     def test_unconverged_counted(self):
         g = CompleteGraph(4096)
         ens = run_consensus_ensemble(g, trials=4, delta=0.01, seed=6, max_steps=1)

@@ -51,6 +51,22 @@ class TestStep:
         with pytest.raises(ValueError, match="alias"):
             step_best_of_k(g, ops, 3, rng, out=ops)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_view_aliased_out_rejected(self, batched):
+        """``out=x[:]`` is a new array object over the same memory; a
+        round writing into it would read half-updated opinions."""
+        from repro.core.dense import step_best_of_k_batch
+        from repro.graphs.implicit import RookGraph
+
+        g = RookGraph(16)
+        x = random_opinions(256, 0.0, rng=3)
+        if batched:
+            x = np.stack([x, x[::-1]])
+        step = step_best_of_k_batch if batched else step_best_of_k
+        with pytest.raises(ValueError, match="alias"):
+            step(g, x, 2, np.random.default_rng(4),
+                 tie_rule=TieRule.KEEP_SELF, out=x[:])
+
     def test_input_not_mutated(self, rng):
         g = CompleteGraph(30)
         ops = random_opinions(30, 0.0, rng=2)

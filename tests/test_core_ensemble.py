@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamics import BestOfKDynamics, TieRule
+from repro.core.dynamics import TieRule, step_best_of_k
 from repro.core.ensemble import (
     EnsembleResult,
     count_chain_step,
@@ -31,6 +31,37 @@ from repro.graphs.implicit import (
     RookGraph,
 )
 from repro.util.rng import spawn_generators
+
+
+def _reference_step(graph, opinions, k, rng, tie_rule=TieRule.KEEP_SELF):
+    """Independent per-trial Best-of-k round: the body ``step_best_of_k``
+    had before it became one row of the batched round (per-vertex sample
+    matrix, fancy-index gather, int64 row sum), kept here so the batched
+    round is checked against code it does not share."""
+    samples = graph.sample_neighbors(graph.vertex_ids, k, rng)
+    blue_votes = opinions[samples].sum(axis=1, dtype=np.int64)
+    twice = blue_votes * 2
+    out = (twice > k).astype(np.uint8)
+    if k % 2 == 0:
+        tied = twice == k
+        if tie_rule is TieRule.KEEP_SELF:
+            out[tied] = opinions[tied]
+        else:
+            n_tied = int(np.count_nonzero(tied))
+            if n_tied:
+                out[tied] = (rng.random(n_tied) < 0.5).astype(np.uint8)
+    return out
+
+
+def _reference_run(graph, init, k, rng, max_steps=10_000):
+    """``(steps, winner)`` of a per-trial loop of :func:`_reference_step`."""
+    n = graph.num_vertices
+    x = init.astype(np.uint8)
+    steps = 0
+    while 0 < np.count_nonzero(x) < n and steps < max_steps:
+        x = _reference_step(graph, x, k, rng)
+        steps += 1
+    return steps, int(x[0]) if np.all(x == x[0]) else None
 
 
 class TestMajorityWinProbability:
@@ -130,8 +161,6 @@ class TestBatchedSampling:
 class TestBatchedStep:
     def test_matches_sequential_drift(self):
         """One batched round has the same drift as R sequential rounds."""
-        from repro.core.dynamics import step_best_of_k
-
         n, reps = 2000, 40
         g = CompleteGraph(n)
         init = exact_count_opinions(n, 800, rng=7)
@@ -139,10 +168,27 @@ class TestBatchedStep:
         batch = np.broadcast_to(init, (reps, n)).copy()
         out = step_best_of_k_batch(g, batch, 3, rng)
         seq_means = [
-            step_best_of_k(g, init, 3, rng).mean() for _ in range(reps)
+            _reference_step(g, init, 3, rng).mean() for _ in range(reps)
         ]
         se = np.std(seq_means) / np.sqrt(reps)
         assert abs(out.mean() - np.mean(seq_means)) <= 5 * se + 1e-3
+
+    @pytest.mark.parametrize("tie_rule", list(TieRule))
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "graph",
+        [RookGraph(8), CompleteBipartiteGraph(9, 14), erdos_renyi(70, 0.2, seed=3)],
+        ids=["rook", "bipartite", "er"],
+    )
+    def test_single_replica_round_equals_reference(self, graph, k, tie_rule):
+        """The per-trial round, an R = 1 batch, gives the reference bytes."""
+        x = random_opinions(graph.num_vertices, 0.0, rng=k)
+        got = step_best_of_k(
+            graph, x, k, np.random.default_rng(5), tie_rule=tie_rule
+        )
+        want = _reference_step(graph, x, k, np.random.default_rng(5), tie_rule)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
 
     def test_chunked_equals_unchunked_semantics(self):
         """Tiny chunks must still produce valid synchronous updates."""
@@ -196,14 +242,13 @@ class TestEngineEquivalence:
             g, replicas=trials, delta=0.12, seed=11, record_trajectories=False
         )
         assert ens.method == "batched"
-        dyn = BestOfKDynamics(g, k=3)
         gens = spawn_generators(12, 2 * trials)
         seq_steps, seq_red = [], 0
         for i in range(trials):
             init = random_opinions(n, 0.12, rng=gens[2 * i])
-            res = dyn.run(init, seed=gens[2 * i + 1], keep_final=False)
-            seq_steps.append(res.steps)
-            seq_red += int(res.winner == RED)
+            steps, winner = _reference_run(g, init, 3, gens[2 * i + 1])
+            seq_steps.append(steps)
+            seq_red += int(winner == RED)
         assert ens.converged_count == trials
         assert ens.red_wins == seq_red == trials
         # Consensus-time distributions: means within joint standard error.

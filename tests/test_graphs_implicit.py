@@ -267,3 +267,25 @@ class TestRookBatchSampler:
             g.sample_neighbors_batch(g.vertex_ids, 0, rng, 1)
         with pytest.raises(ValueError, match="vertex ids"):
             g.sample_neighbors_batch(np.array([16]), 3, rng, 1)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [CompleteGraph(10), CompleteBipartiteGraph(4, 6),
+     CompleteMultipartiteGraph([3, 3, 4]), RookGraph(4),
+     CompleteGraph(5).to_csr()],
+    ids=lambda g: type(g).__name__,
+)
+@pytest.mark.parametrize(
+    "ids", [np.array([0.5, 1.9]), np.array([True, False])],
+    ids=["float", "bool"],
+)
+def test_non_integer_vertex_ids_rejected(graph, ids):
+    """Float ids used to be truncated and a bool mask read as ids 1/0."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="must be integers"):
+        graph.sample_neighbors(ids, 3, rng)
+    with pytest.raises(ValueError, match="must be integers"):
+        graph.sample_neighbors_batch(ids, 3, rng, 2)
+    # An empty list has no ids to misread (its default dtype is float).
+    assert graph.sample_neighbors(np.array([]), 3, rng).shape == (0, 3)
