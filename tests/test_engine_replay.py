@@ -5,8 +5,9 @@ compares sha256 digests of every result field — ``steps``, ``winners``,
 ``converged``, ``final_totals``, every trajectory and (where kept)
 ``final_opinions`` — against recorded values.  Each ``TRIAL_CASES``
 entry pins the per-trial surface the same way: both samplers on every
-host kind, the single-replica round and runner, the ensemble wrapper and
-the sampling duals, digesting arrays with their dtypes.  A refactor of
+host kind, the single-replica round and runner, the ensemble wrapper,
+the sampling duals, every kernel's initial state and the dense initial
+matrix, digesting arrays with their dtypes.  A refactor of
 the engine loop, the dense step, a sampler or the count chain must leave
 all of them byte-identical; a deliberate stream change has to re-record
 them here and say so.
@@ -25,7 +26,7 @@ import pytest
 
 from repro.analysis.experiments import run_consensus_ensemble
 from repro.core.dynamics import BestOfKDynamics, TieRule, step_best_of_k
-from repro.core.ensemble import run_ensemble
+from repro.core.ensemble import build_initial_matrix, run_ensemble
 from repro.core.protocols import (
     AsyncSweepBestOfK,
     BestOfK,
@@ -37,7 +38,11 @@ from repro.core.protocols import (
 from repro.core.voting_dag import VotingDAG
 from repro.dual.coalescing import coalescing_random_walk
 from repro.dual.cobra import cobra_walk
-from repro.graphs.generators import erdos_renyi, random_regular
+from repro.graphs.generators import (
+    erdos_renyi,
+    random_regular,
+    two_clique_bridge,
+)
 from repro.graphs.implicit import (
     CompleteBipartiteGraph,
     CompleteGraph,
@@ -136,7 +141,86 @@ CASES = {
         CompleteGraph(300), replicas=6, k=3, seed=24,
         initial_opinions=_absorbed_rows(300), max_steps=400,
     ),
+    # Initial-state routes: every way a call draws its replicas' start.
+    # K_{10^10} at δ = 0.05 starts in binomial_draw's Gaussian regime; at
+    # δ = 0.4999999 the start's mean is ≈ 10³, its Poisson tail.
+    "chain_complete_gaussian": lambda: run_ensemble(
+        CompleteGraph(10**10), replicas=64, k=3, seed=32, delta=0.05,
+        max_steps=400,
+    ),
+    "chain_complete_poisson_tail": lambda: run_ensemble(
+        CompleteGraph(10**10), replicas=64, k=3, seed=33, delta=0.4999999,
+        max_steps=400,
+    ),
+    "chain_complete_blue_counts": lambda: run_ensemble(
+        CompleteGraph(5000), replicas=24, k=3, seed=34,
+        initial_blue_counts=np.arange(24) * 50 + 1000, max_steps=400,
+    ),
+    "chain_multipartite_blue_counts": lambda: run_ensemble(
+        CompleteMultipartiteGraph([40, 60, 80]), replicas=32, k=3, seed=35,
+        initial_blue_counts=70, max_steps=400,
+    ),
+    "chain_bridge_blue_counts": lambda: run_ensemble(
+        two_clique_bridge(30, bridges=2), replicas=32, k=3, seed=36,
+        initial_blue_counts=25, max_steps=400,
+    ),
+    "chain_bridge_delta": lambda: run_ensemble(
+        two_clique_bridge(30, bridges=1), replicas=32, k=3, seed=37,
+        delta=0.1, max_steps=400,
+    ),
+    "chain_complete_initializer": lambda: run_ensemble(
+        CompleteGraph(500), replicas=16, k=3, seed=38,
+        initializer=lambda n, g: g.random(n) < 0.4, max_steps=400,
+    ),
+    "zealot_chain_complete": lambda: run_ensemble(
+        CompleteGraph(2000), replicas=32, protocol=ZealotBestOfK(50),
+        seed=39, delta=0.2, max_steps=400,
+    ),
+    "zealot_chain_complete_blue_counts": lambda: run_ensemble(
+        CompleteGraph(2000), replicas=32, protocol=ZealotBestOfK(50),
+        seed=41, initial_blue_counts=900, max_steps=400,
+    ),
+    "zealot_chain_multipartite_blue_counts": lambda: run_ensemble(
+        CompleteMultipartiteGraph([64] * 4), replicas=32,
+        protocol=ZealotBestOfK(20), seed=42, initial_blue_counts=110,
+        max_steps=400,
+    ),
+    "zealot_chain_bridge": lambda: run_ensemble(
+        two_clique_bridge(30, bridges=1), replicas=32,
+        protocol=ZealotBestOfK(3), seed=43, delta=0.1, max_steps=400,
+    ),
+    "zealot_chain_initializer": lambda: run_ensemble(
+        CompleteMultipartiteGraph([64] * 4), replicas=16,
+        protocol=ZealotBestOfK(20), seed=44,
+        initializer=lambda n, g: g.random(n) < 0.3, max_steps=400,
+    ),
+    "dense_blue_counts": lambda: run_ensemble(
+        _er(), replicas=16, k=3, seed=45, initial_blue_counts=110,
+        max_steps=400, keep_final=True,
+    ),
+    "dense_initializer": lambda: run_ensemble(
+        RookGraph(12), replicas=12, k=3, seed=46,
+        initializer=lambda n, g: (g.random(n) < 0.4).astype(np.uint8),
+        max_steps=400, keep_final=True,
+    ),
 }
+
+# The benchmark's five count-chain jobs, at 64 replicas.
+for _i, (_job, _make, _protocol, _steps) in enumerate((
+    ("K_2^16", lambda: CompleteGraph(2**16), None, 10_000),
+    ("K_10^7", lambda: CompleteGraph(10**7), None, 10_000),
+    ("K_10^10", lambda: CompleteGraph(10**10), None, 10_000),
+    ("noisy0.2_K_2^16", lambda: CompleteGraph(2**16), NoisyBestOfK(0.2), 80),
+    ("zealot64_multipartite8x2^13",
+     lambda: CompleteMultipartiteGraph([2**13] * 8), ZealotBestOfK(64),
+     10_000),
+)):
+    CASES[f"perf_chain_{_job}"] = (
+        lambda m=_make, p=_protocol, s=_steps, i=_i: run_ensemble(
+            m(), replicas=64, protocol=p, seed=50 + i,
+            delta=(0.1, 0.05, 0.02)[i % 3], max_steps=s,
+        )
+    )
 
 # Bipartite and multipartite hosts forced onto the dense path (their
 # ``auto`` route is the count chain).
@@ -242,7 +326,57 @@ def _consensus(host: str) -> dict[str, np.ndarray]:
     }
 
 
-TRIAL_CASES = {"round_input_dtypes": _input_dtypes}
+def _kernel_initial_states() -> dict[str, np.ndarray]:
+    """Each kernel's ``initial_state`` on a fresh SeedSequence, per mode.
+
+    The mega hosts mix exact and Gaussian-regime slots; NumPy's
+    multivariate hypergeometric caps the population at 10⁹, so they pin
+    the δ modes only.
+    """
+    kernels = {
+        "complete": (CompleteGraph(10**4), True),
+        "complete_mega": (CompleteGraph(10**10), False),
+        "multipartite": (CompleteMultipartiteGraph([30, 50, 70]), True),
+        "multipartite_mega": (
+            CompleteMultipartiteGraph([30, 50, 3 * 10**9]), False
+        ),
+        "bridge": (two_clique_bridge(20, bridges=2), True),
+    }
+    out = {}
+    for name, (graph, counts_ok) in kernels.items():
+        kernel = graph.count_chain_kernel()
+        pinned = np.zeros(kernel.num_slots, dtype=np.int64)
+        pinned[0] = 3
+        modes = [("delta", {"delta": 0.1}),
+                 ("pinned_delta", {"delta": 0.1, "pinned": pinned})]
+        if counts_ok:
+            modes += [("blue_counts", {"blue_counts": 17}),
+                      ("pinned_blue_counts",
+                       {"blue_counts": 17, "pinned": pinned})]
+        for mode, kwargs in modes:
+            out[f"{name}_{mode}"] = kernel.initial_state(
+                40, np.random.SeedSequence([120, len(out)]), **kwargs
+            )
+    return out
+
+
+def _initial_matrices() -> dict[str, np.ndarray]:
+    return {
+        "delta": build_initial_matrix(50, 12, seed=130, delta=0.1),
+        "blue_counts": build_initial_matrix(
+            50, 12, seed=131, initial_blue_counts=np.arange(12) * 4
+        ),
+        "initializer": build_initial_matrix(
+            50, 12, seed=132, initializer=lambda n, g: g.integers(0, 2, n)
+        ),
+    }
+
+
+TRIAL_CASES = {
+    "round_input_dtypes": _input_dtypes,
+    "kernel_initial_states": _kernel_initial_states,
+    "build_initial_matrix": _initial_matrices,
+}
 for _host in HOSTS:
     for _k in (1, 2, 3, 5):
         TRIAL_CASES[f"sample_{_host}_k{_k}"] = (
@@ -300,6 +434,20 @@ RECORDED: dict[str, dict[str, str]] = {
         "trajectories": "b2e97ccd46c6f181",
         "final_opinions": "3f88af7b309d51f0",
     },
+    "chain_bridge_blue_counts": {
+        "steps": "33989f2121027bc3",
+        "winners": "bdda80a92a17dd0e",
+        "converged": "977afaf3e9480228",
+        "final_totals": "bf10f0dc009fe147",
+        "trajectories": "f2b5a5f409fabc14",
+    },
+    "chain_bridge_delta": {
+        "steps": "168df8ff6b12322d",
+        "winners": "cd1569ba1195c798",
+        "converged": "8602178174154a00",
+        "final_totals": "e6d6c9442aed72d4",
+        "trajectories": "5fd546a137c67f41",
+    },
     "chain_complete": {
         "steps": "e4da58bd3562f981",
         "winners": "726839811188f24e",
@@ -307,12 +455,47 @@ RECORDED: dict[str, dict[str, str]] = {
         "final_totals": "726839811188f24e",
         "trajectories": "93d77168bb0c6f07",
     },
+    "chain_complete_blue_counts": {
+        "steps": "b44129ee85a9d3e8",
+        "winners": "ecf332d83ac459e1",
+        "converged": "82ccef8b640b3be6",
+        "final_totals": "ecf332d83ac459e1",
+        "trajectories": "d9fc3f38af7f5727",
+    },
+    "chain_complete_gaussian": {
+        "steps": "1a7c0ad51ff54773",
+        "winners": "726839811188f24e",
+        "converged": "0df027451b190507",
+        "final_totals": "726839811188f24e",
+        "trajectories": "8d81f12d5bf3e917",
+    },
+    "chain_complete_initializer": {
+        "steps": "e2d30c8d93daedc9",
+        "winners": "847172c418bb1bee",
+        "converged": "8dff6f4c5abfb965",
+        "final_totals": "847172c418bb1bee",
+        "trajectories": "6747fd7b73bd51dd",
+    },
+    "chain_complete_poisson_tail": {
+        "steps": "5221fea49fcc3821",
+        "winners": "726839811188f24e",
+        "converged": "0df027451b190507",
+        "final_totals": "726839811188f24e",
+        "trajectories": "97321be1cc41c385",
+    },
     "chain_multipartite": {
         "steps": "7fef243d7522e5a7",
         "winners": "2f457feddbf7da25",
         "converged": "0dd649a4b0deafa7",
         "final_totals": "63f51e42727e467a",
         "trajectories": "2e0f8eeabf75f4c4",
+    },
+    "chain_multipartite_blue_counts": {
+        "steps": "2a7ff631bac51679",
+        "winners": "35b70ecb40c626e3",
+        "converged": "2ff7c0f09ce02eae",
+        "final_totals": "35b70ecb40c626e3",
+        "trajectories": "11e9f2cdf756b74d",
     },
     "dense_bipartite_async": {
         "steps": "773f562abbf45409",
@@ -336,6 +519,14 @@ RECORDED: dict[str, dict[str, str]] = {
         "final_totals": "3da8ed5923beecb4",
         "trajectories": "eca226af2e0b7ebc",
     },
+    "dense_blue_counts": {
+        "steps": "2bfdc722aa245c02",
+        "winners": "847172c418bb1bee",
+        "converged": "8dff6f4c5abfb965",
+        "final_totals": "847172c418bb1bee",
+        "trajectories": "3867c3d5bda1c7ac",
+        "final_opinions": "a5a1cc36f89b3896",
+    },
     "dense_csr_serial": {
         "steps": "205da60bb0f7139f",
         "winners": "ecf332d83ac459e1",
@@ -358,6 +549,14 @@ RECORDED: dict[str, dict[str, str]] = {
         "final_totals": "9fa9efe7a5edab7d",
         "trajectories": "176c969371954a0a",
         "final_opinions": "df375f2a7753a3de",
+    },
+    "dense_initializer": {
+        "steps": "671554bc3166e82c",
+        "winners": "cdfe3ecddd6a7219",
+        "converged": "9a659a13e1a7d1ac",
+        "final_totals": "cdfe3ecddd6a7219",
+        "trajectories": "dd45454d94b8bf5a",
+        "final_opinions": "1ae2c43f6150bcc6",
     },
     "dense_keep_final": {
         "steps": "f64c8903a5541eb5",
@@ -447,6 +646,41 @@ RECORDED: dict[str, dict[str, str]] = {
         "final_totals": "af41b6c851a8f17c",
         "trajectories": "21072288a8b16d6b",
     },
+    "perf_chain_K_10^10": {
+        "steps": "58fbae84a5014b0c",
+        "winners": "726839811188f24e",
+        "converged": "0df027451b190507",
+        "final_totals": "726839811188f24e",
+        "trajectories": "614c0829a6c50822",
+    },
+    "perf_chain_K_10^7": {
+        "steps": "09d4fc2fb698ccbd",
+        "winners": "726839811188f24e",
+        "converged": "0df027451b190507",
+        "final_totals": "726839811188f24e",
+        "trajectories": "b76f57ec5781e0da",
+    },
+    "perf_chain_K_2^16": {
+        "steps": "f4062c1c922e17d0",
+        "winners": "726839811188f24e",
+        "converged": "0df027451b190507",
+        "final_totals": "726839811188f24e",
+        "trajectories": "f16aa07d44100fc9",
+    },
+    "perf_chain_noisy0.2_K_2^16": {
+        "steps": "7abe8e348c7c90ae",
+        "winners": "12530ee16fbcd88e",
+        "converged": "468cd8b910d91917",
+        "final_totals": "a2121f0403207c86",
+        "trajectories": "3b6b9d015cbb9122",
+    },
+    "perf_chain_zealot64_multipartite8x2^13": {
+        "steps": "60834294bb10036f",
+        "winners": "726839811188f24e",
+        "converged": "0df027451b190507",
+        "final_totals": "82c22880e3e6a0f6",
+        "trajectories": "d9f52d34833dd451",
+    },
     "plurality_dense": {
         "steps": "338eb0f4c44b5e4c",
         "winners": "dc23acebfaf931bb",
@@ -460,6 +694,41 @@ RECORDED: dict[str, dict[str, str]] = {
         "converged": "9e0b379a691ce0af",
         "final_totals": "46cca2aac99dced5",
         "trajectories": "a320ddb3b243b034",
+    },
+    "zealot_chain_bridge": {
+        "steps": "71688b3df31c0992",
+        "winners": "0e104364f511f800",
+        "converged": "6c68e615b2772974",
+        "final_totals": "c85576943595d8bc",
+        "trajectories": "751a3e8fc43dd863",
+    },
+    "zealot_chain_complete": {
+        "steps": "a2004bdac355e501",
+        "winners": "35b70ecb40c626e3",
+        "converged": "2ff7c0f09ce02eae",
+        "final_totals": "600438273d30b0c5",
+        "trajectories": "8b444410ae80e940",
+    },
+    "zealot_chain_complete_blue_counts": {
+        "steps": "da873fcfff80ebf8",
+        "winners": "bfce2704db12a30d",
+        "converged": "2ff7c0f09ce02eae",
+        "final_totals": "3d13bda9ad5e8dd9",
+        "trajectories": "8d4eebc17ed31ffe",
+    },
+    "zealot_chain_initializer": {
+        "steps": "2013d778412fd423",
+        "winners": "59c0b236969627c5",
+        "converged": "a73f331879ff6995",
+        "final_totals": "66bb43cd1ded7764",
+        "trajectories": "8352baa0d7339456",
+    },
+    "zealot_chain_multipartite_blue_counts": {
+        "steps": "4570e5e3d43ac131",
+        "winners": "39f92f1835976484",
+        "converged": "2ff7c0f09ce02eae",
+        "final_totals": "e77374537d09a63b",
+        "trajectories": "6ec72223dbd8474e",
     },
     "zealot_dense": {
         "steps": "ab81dd18f8e92cf6",
@@ -476,6 +745,11 @@ def trial_digests(arrays: dict[str, np.ndarray]) -> dict[str, str]:
 
 
 RECORDED_TRIAL: dict[str, dict[str, str]] = {
+    "build_initial_matrix": {
+        "delta": "7497e296bbc4e117",
+        "blue_counts": "591df41de02e0f3c",
+        "initializer": "ced7b4b915f26dfe",
+    },
     "consensus_complete": {
         "steps": "07e06bf1767de623",
         "winners": "51ac0ce84e8aa875",
@@ -526,6 +800,24 @@ RECORDED_TRIAL: dict[str, dict[str, str]] = {
         "coalescing": "7cd3dd75f6bb64b2",
         "dag_levels": "0fdeb54e5508870f",
         "dag_children": "66ee6d47d90ab728",
+    },
+    "kernel_initial_states": {
+        "complete_delta": "266678a0099243ca",
+        "complete_pinned_delta": "a403325e945c01d2",
+        "complete_blue_counts": "1bb038b0dfdc3a8b",
+        "complete_pinned_blue_counts": "142fa4a3f928e532",
+        "complete_mega_delta": "5db5e12e31a5dc50",
+        "complete_mega_pinned_delta": "4fcd34c4e2c316af",
+        "multipartite_delta": "14ac9a78c61c9d37",
+        "multipartite_pinned_delta": "bdfd83ce9d976a40",
+        "multipartite_blue_counts": "6e49faa40a53c6c8",
+        "multipartite_pinned_blue_counts": "df8896898bd0e966",
+        "multipartite_mega_delta": "dd825ca5d7561fe8",
+        "multipartite_mega_pinned_delta": "bfbe9285fb211c96",
+        "bridge_delta": "28affb68a97e4dba",
+        "bridge_pinned_delta": "36a51406fe87064c",
+        "bridge_blue_counts": "14080ed1dc5791e2",
+        "bridge_pinned_blue_counts": "617f16b45b824be3",
     },
     "round_bipartite_k1_keep_self": {
         "steps": "6c518c18db0314c6",
