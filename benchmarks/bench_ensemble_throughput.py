@@ -88,6 +88,21 @@ def _timed(fn):
     return time.perf_counter() - start, out
 
 
+ENGINE_REPEATS = 5
+"""Engine calls a speedup-vs-loop ratio divides by are timed as the
+median of this many repeats: a count-chain call takes milliseconds, so a
+single timing is mostly timer and scheduler noise."""
+
+
+def _median_timed(fn, repeats: int = ENGINE_REPEATS):
+    """Median wall time of *repeats* calls of *fn*, and its last output."""
+    times = []
+    for _ in range(repeats):
+        elapsed, out = _timed(fn)
+        times.append(elapsed)
+    return float(np.median(times)), out
+
+
 def bench_batched_vs_loop(
     *, n=2**16, replicas=100, delta=0.1, seed=0, max_steps=500, host="complete"
 ):
@@ -111,7 +126,7 @@ def bench_batched_vs_loop(
             max_steps=max_steps, record_trajectories=False, method="batched",
         )
     )
-    t_auto, res_a = _timed(
+    t_auto, res_a = _median_timed(
         lambda: run_ensemble(
             graph, replicas=replicas, delta=delta, seed=seed,
             max_steps=max_steps, record_trajectories=False, method="auto",
@@ -275,7 +290,7 @@ def bench_noisy_count_chain_vs_loop(
 
     proto = NoisyBestOfK(eta)
     t_loop, _ = _timed(loop)
-    t_chain, res = _timed(
+    t_chain, res = _median_timed(
         lambda: run_ensemble(
             graph, protocol=proto, replicas=trials, delta=delta, seed=seed,
             max_steps=rounds,
@@ -328,7 +343,7 @@ def bench_zealot_count_chain_vs_loop(
         return out
 
     t_loop, _ = _timed(loop)
-    t_chain, res = _timed(
+    t_chain, res = _median_timed(
         lambda: run_ensemble(
             graph,
             protocol=ZealotBestOfK(z),

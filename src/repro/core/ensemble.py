@@ -75,7 +75,12 @@ from repro.core.opinions import (
     random_opinions,
 )
 from repro.graphs.base import Graph
-from repro.util.rng import SeedLike, as_generator, spawn_generators
+from repro.util.rng import (
+    SeedLike,
+    as_generator,
+    replica_streams,
+    spawn_generators,
+)
 from repro.util.validation import check_in_range, check_positive_int
 
 __all__ = [
@@ -238,7 +243,8 @@ def run_ensemble(
     * ``delta`` — the paper's i.i.d. configuration (blue w.p. ``1/2 − δ``),
       drawn per replica from independent spawned streams;
     * ``initializer`` — ``(n, rng) -> opinions``, called once per replica
-      with its own spawned stream;
+      with its own spawned stream; the Generator is valid only during
+      the call (one Generator object is re-seeded for every replica);
     * ``initial_opinions`` — an explicit ``(R, n)`` (or broadcastable
       ``(n,)``) opinion matrix;
     * ``initial_blue_counts`` — exact initial counts (scalar or ``(R,)``);
@@ -415,7 +421,7 @@ def _initial_matrix(
         return np.array(
             np.broadcast_to(mat, (replicas, n)), dtype=dtype, order="C"
         )
-    gens = spawn_generators(init_ss, replicas)
+    gens = replica_streams(init_ss, replicas)
     mat = np.empty((replicas, n), dtype=dtype)
     if delta is not None:
         for i, gen in enumerate(gens):
@@ -474,7 +480,7 @@ def _initial_kernel_state(
         return kernel.state_from_opinions(mat)
     # Initialiser: materialise one replica row at a time and project; the
     # chain is exact conditioned on any placement's slot counts.
-    gens = spawn_generators(init_ss, replicas)
+    gens = replica_streams(init_ss, replicas)
     state = np.empty((replicas, kernel.num_slots), dtype=np.int64)
     for i, gen in enumerate(gens):
         row = protocol.prepare_state(

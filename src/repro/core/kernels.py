@@ -61,12 +61,13 @@ from __future__ import annotations
 
 import abc
 from math import comb
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.dynamics import TieRule
 from repro.core.opinions import BLUE, RED
-from repro.util.rng import spawn_generators
+from repro.util.rng import replica_streams
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -131,34 +132,118 @@ def binomial_draw(
     counts_any = np.asarray(counts)
     if counts_any.size == 0 or int(counts_any.max(initial=0)) <= threshold:
         return rng.binomial(counts, p)
-    counts_b, p_b = np.broadcast_arrays(
-        np.asarray(counts, dtype=np.int64), np.asarray(p, dtype=np.float64)
-    )
-    out = np.empty(counts_b.shape, dtype=np.int64)
-    small = counts_b <= threshold
-    if small.any():
-        out[small] = rng.binomial(counts_b[small], p_b[small])
-    big = ~small
-    n_big = counts_b[big]
-    n_f = n_big.astype(np.float64)
-    p_big = np.clip(p_b[big], 0.0, 1.0)
-    mean = n_f * p_big
-    comp = n_f - mean  # n·(1−p)
-    vals = np.empty(n_big.shape, dtype=np.int64)
-    lo = mean <= _POISSON_TAIL_MEAN
-    hi = (comp <= _POISSON_TAIL_MEAN) & ~lo
-    mid = ~(lo | hi)
-    if lo.any():
-        vals[lo] = np.minimum(rng.poisson(mean[lo]), n_big[lo])
-    if hi.any():
-        vals[hi] = n_big[hi] - np.minimum(rng.poisson(comp[hi]), n_big[hi])
-    if mid.any():
-        std = np.sqrt(mean[mid] * (1.0 - p_big[mid]))
-        draw = np.rint(mean[mid] + std * rng.standard_normal(int(mid.sum())))
-        np.clip(draw, 0.0, n_f[mid], out=draw)
-        vals[mid] = draw.astype(np.int64)
-    out[big] = vals
-    return out
+    plan = _BinomialRegimes(counts, p, threshold)
+    raw = np.empty((1, plan.width))
+    plan.variates(rng, raw[0])
+    return plan.finish(raw)[0]
+
+
+def _replica_binomials(
+    streams: Iterable[np.random.Generator],
+    replicas: int,
+    counts: np.ndarray | int,
+    p: float,
+) -> np.ndarray:
+    """``(R, *shape)`` rows ``binomial_draw(stream_i, counts, p)``.
+
+    Every replica shares ``counts`` and ``p``, so the regime split is
+    made once: each stream draws exactly the variates ``binomial_draw``
+    would draw from it, in the same order, and the Poisson/Gaussian
+    transform runs once over the whole ``(R, slots)`` matrix.
+    """
+    plan = _BinomialRegimes(counts, p, GAUSSIAN_REGIME_THRESHOLD)
+    # One scalar call per variate: NumPy's array-argument samplers spend
+    # ~10 µs validating their inputs, against ~1 µs for a scalar draw,
+    # and a scalar draw takes the same variate as that element of the
+    # array call.
+    draws = plan.scalar_draws()
+    rows = [[draw(gen, *args) for draw, args in draws] for gen in streams]
+    raw = np.array(rows, dtype=np.float64).reshape(replicas, plan.width)
+    return plan.finish(raw)
+
+
+class _BinomialRegimes:
+    """:func:`binomial_draw`'s regime split of one ``(counts, p)`` call.
+
+    Elements (in C order) fall into four regimes: exact binomial,
+    Poisson low tail, Poisson high tail and Gaussian.  :meth:`variates`
+    draws one stream's raw variates into a ``width``-long row, regime by
+    regime; :meth:`scalar_draws` lists the same variates as one scalar
+    sampler call each; :meth:`finish` maps stacked rows to counts.  Every
+    step is elementwise, so a row's counts do not depend on how many
+    rows are finished together.
+    """
+
+    def __init__(self, counts, p, threshold: int) -> None:
+        counts_b, p_b = np.broadcast_arrays(
+            np.asarray(counts, dtype=np.int64),
+            np.asarray(p, dtype=np.float64),
+        )
+        self.shape = counts_b.shape
+        counts_f, p_f = counts_b.ravel(), p_b.ravel()
+        self.small = counts_f <= threshold
+        self.small_counts = counts_f[self.small]
+        self.small_p = p_f[self.small]
+        self.n_big = counts_f[~self.small]
+        self.n_f = self.n_big.astype(np.float64)
+        p_big = np.clip(p_f[~self.small], 0.0, 1.0)
+        mean = self.n_f * p_big
+        comp = self.n_f - mean  # n·(1−p)
+        self.lo = mean <= _POISSON_TAIL_MEAN
+        self.hi = (comp <= _POISSON_TAIL_MEAN) & ~self.lo
+        self.mid = ~(self.lo | self.hi)
+        self.lo_mean = mean[self.lo]
+        self.hi_comp = comp[self.hi]
+        self.mid_mean = mean[self.mid]
+        self.mid_std = np.sqrt(self.mid_mean * (1.0 - p_big[self.mid]))
+        self.cuts = np.cumsum(
+            [self.small_counts.size, self.lo_mean.size, self.hi_comp.size,
+             self.mid_mean.size]
+        ).tolist()
+        self.width = self.cuts[-1]
+
+    def variates(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        """Draw one stream's raw variates into *row* (exact counts and
+        Poisson values are integers, exact in float64)."""
+        a, b, c, d = self.cuts
+        if a:
+            row[:a] = rng.binomial(self.small_counts, self.small_p)
+        if b > a:
+            row[a:b] = rng.poisson(self.lo_mean)
+        if c > b:
+            row[b:c] = rng.poisson(self.hi_comp)
+        if d > c:
+            row[c:d] = rng.standard_normal(d - c)
+
+    def scalar_draws(self) -> list[tuple]:
+        """``(sampler, args)`` per variate, in :meth:`variates`' order."""
+        gen = np.random.Generator
+        small = zip(self.small_counts.tolist(), self.small_p.tolist())
+        return (
+            [(gen.binomial, (n, q)) for n, q in small]
+            + [(gen.poisson, (m,)) for m in self.lo_mean.tolist()]
+            + [(gen.poisson, (m,)) for m in self.hi_comp.tolist()]
+            + [(gen.standard_normal, ())] * self.mid_mean.size
+        )
+
+    def finish(self, raw: np.ndarray) -> np.ndarray:
+        """``(L, *shape)`` int64 counts from ``(L, width)`` raw rows."""
+        a, b, c, _ = self.cuts
+        out = np.empty((raw.shape[0], self.small.size), dtype=np.int64)
+        out[:, self.small] = raw[:, :a]
+        n_big = self.n_big
+        vals = np.empty((raw.shape[0], n_big.size), dtype=np.int64)
+        vals[:, self.lo] = np.minimum(
+            raw[:, a:b].astype(np.int64), n_big[self.lo]
+        )
+        vals[:, self.hi] = n_big[self.hi] - np.minimum(
+            raw[:, b:c].astype(np.int64), n_big[self.hi]
+        )
+        draw = np.rint(self.mid_mean + self.mid_std * raw[:, c:])
+        np.clip(draw, 0.0, self.n_f[self.mid], out=draw)
+        vals[:, self.mid] = draw.astype(np.int64)
+        out[:, ~self.small] = vals
+        return out.reshape((raw.shape[0], *self.shape))
 
 
 def majority_win_probability(
@@ -370,9 +455,14 @@ class CountChainKernel(abc.ABC):
         Exactly one of *delta* (the paper's i.i.d. law — each slot count
         is an independent binomial) and *blue_counts* (an exact total,
         split across slots by the uniform-placement hypergeometric law)
-        is given.  Per-replica randomness comes from
+        is given.  Replica ``i`` draws from stream ``i`` of
         ``spawn_generators(init_ss, replicas)`` — the same stream layout
-        the dense path's per-replica initialisers consume.
+        the dense path's per-replica initialisers consume — read through
+        :func:`~repro.util.rng.replica_streams`, which derives all the
+        streams in one numpy pass but leaves *init_ss*'s spawn counter
+        where it was: pass a seed sequence that nothing else spawns from
+        (the engine hands each call's own init stream).  On the δ route
+        the binomial regime split is made once for all replicas.
 
         *pinned* (per-slot pinned-blue counts) reproduces the zealot
         convention "draw the configuration, then force the pinned
@@ -428,35 +518,43 @@ class CountChainKernel(abc.ABC):
             )
         return pinned
 
-    def _pinned_initial_state(
+    def _slot_initial_state(
         self, replicas, init_ss, *, delta, blue_counts, pinned
     ) -> np.ndarray:
-        """Generic pinned-aware initial state (any slot layout).
+        """Initial state drawn slot by slot, for any slot layout.
 
-        i.i.d. *delta*: free vertices of each slot draw
-        ``Bin(size − pinned, 1/2 − δ)``.  Exact *blue_counts*: the count
-        is placed uniformly over all ``n`` vertices and blues landing on
-        pinned positions are absorbed by them — split with a
-        multivariate hypergeometric over the interleaved
-        ``(pinned, free)`` sub-slot sizes.
+        i.i.d. *delta*: slot ``j`` draws ``Bin(size_j − pinned_j, 1/2 − δ)``.
+        Exact *blue_counts*: the count is placed uniformly over all ``n``
+        vertices by a multivariate hypergeometric over the slot sizes.
+
+        *pinned* reproduces "draw the configuration, then force the
+        pinned vertices BLUE": free vertices keep their drawn law and
+        pinned mass is added on top; under *blue_counts*, blues landing
+        on pinned positions are absorbed by them — the hypergeometric
+        splits over the interleaved ``(pinned, free)`` sub-slot sizes.
         """
-        gens = spawn_generators(init_ss, replicas)
+        pinned = self.check_pinned(pinned)
         sizes = self.slot_sizes
-        free = sizes - pinned
-        state = np.empty((replicas, sizes.size), dtype=np.int64)
-        if blue_counts is not None:
-            counts = _broadcast_counts(blue_counts, replicas, self.n)
+        if pinned is None or not pinned.any():
+            pinned, free, split, keep = 0, sizes, sizes, slice(None)
+        else:
+            free = sizes - pinned
             split = np.empty(2 * sizes.size, dtype=np.int64)
             split[0::2] = pinned
             split[1::2] = free
-            for i, gen in enumerate(gens):
-                state[i] = pinned + gen.multivariate_hypergeometric(
-                    split, int(counts[i])
-                )[1::2]
-        else:
-            for i, gen in enumerate(gens):
-                state[i] = pinned + binomial_draw(gen, free, 0.5 - delta)
-        return state
+            keep = slice(1, None, 2)
+        streams = replica_streams(init_ss, replicas)
+        if blue_counts is None:
+            return pinned + _replica_binomials(
+                streams, replicas, free, 0.5 - delta
+            )
+        counts = _broadcast_counts(blue_counts, replicas, self.n)
+        state = np.empty((replicas, sizes.size), dtype=np.int64)
+        for i, gen in enumerate(streams):
+            state[i] = gen.multivariate_hypergeometric(
+                split, int(counts[i])
+            )[keep]
+        return pinned + state
 
 
 class CompleteKernel(CountChainKernel):
@@ -485,34 +583,16 @@ class CompleteKernel(CountChainKernel):
     def initial_state(
         self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None
     ):
+        # B_0 ~ Bin(n, 1/2 − δ) is the exact count law of random_opinions,
+        # drawn directly so n = 10^10 replicas never allocate O(n).  An
+        # unpinned exact count needs no draw at all.
         pinned = self.check_pinned(pinned)
-        if pinned is not None and pinned[0]:
-            return self._pinned_initial_state(
-                replicas, init_ss, delta=delta, blue_counts=blue_counts,
-                pinned=pinned,
-            )
-        if blue_counts is not None:
-            counts = _broadcast_counts(blue_counts, replicas, self.n)
-        else:
-            # B_0 ~ Bin(n, 1/2 − δ): the exact count law of random_opinions,
-            # drawn directly so n = 10^10 replicas never allocate O(n).
-            gens = spawn_generators(init_ss, replicas)
-            if self.n <= GAUSSIAN_REGIME_THRESHOLD:
-                counts = np.array(
-                    [gen.binomial(self.n, 0.5 - delta) for gen in gens],
-                    dtype=np.int64,
-                )
-            else:
-                counts = np.array(
-                    [
-                        binomial_draw(
-                            gen, np.array([self.n], dtype=np.int64), 0.5 - delta
-                        )[0]
-                        for gen in gens
-                    ],
-                    dtype=np.int64,
-                )
-        return counts[:, None]
+        if blue_counts is not None and (pinned is None or not pinned.any()):
+            return _broadcast_counts(blue_counts, replicas, self.n)[:, None]
+        return self._slot_initial_state(
+            replicas, init_ss, delta=delta, blue_counts=blue_counts,
+            pinned=pinned,
+        )
 
     def state_from_opinions(self, opinions):
         return np.count_nonzero(opinions, axis=1).astype(np.int64)[:, None]
@@ -562,24 +642,10 @@ class MultipartiteKernel(CountChainKernel):
     def initial_state(
         self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None
     ):
-        pinned = self.check_pinned(pinned)
-        if pinned is not None and pinned.any():
-            return self._pinned_initial_state(
-                replicas, init_ss, delta=delta, blue_counts=blue_counts,
-                pinned=pinned,
-            )
-        gens = spawn_generators(init_ss, replicas)
-        state = np.empty((replicas, self.num_slots), dtype=np.int64)
-        if blue_counts is not None:
-            counts = _broadcast_counts(blue_counts, replicas, self.n)
-            for i, gen in enumerate(gens):
-                state[i] = gen.multivariate_hypergeometric(
-                    self.sizes, int(counts[i])
-                )
-        else:
-            for i, gen in enumerate(gens):
-                state[i] = binomial_draw(gen, self.sizes, 0.5 - delta)
-        return state
+        return self._slot_initial_state(
+            replicas, init_ss, delta=delta, blue_counts=blue_counts,
+            pinned=pinned,
+        )
 
     def state_from_opinions(self, opinions):
         return np.add.reduceat(
@@ -639,9 +705,6 @@ class TwoCliqueBridgeKernel(CountChainKernel):
 
     @property
     def slot_sizes(self) -> np.ndarray:
-        return self._slot_sizes()
-
-    def _slot_sizes(self) -> np.ndarray:
         nb = self.half - self.bridges
         return np.array(
             [nb, nb] + [1] * (2 * self.bridges), dtype=np.int64
@@ -650,25 +713,10 @@ class TwoCliqueBridgeKernel(CountChainKernel):
     def initial_state(
         self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None
     ):
-        pinned = self.check_pinned(pinned)
-        if pinned is not None and pinned.any():
-            return self._pinned_initial_state(
-                replicas, init_ss, delta=delta, blue_counts=blue_counts,
-                pinned=pinned,
-            )
-        gens = spawn_generators(init_ss, replicas)
-        sizes = self._slot_sizes()
-        state = np.empty((replicas, sizes.size), dtype=np.int64)
-        if blue_counts is not None:
-            counts = _broadcast_counts(blue_counts, replicas, self.n)
-            for i, gen in enumerate(gens):
-                state[i] = gen.multivariate_hypergeometric(
-                    sizes, int(counts[i])
-                )
-        else:
-            for i, gen in enumerate(gens):
-                state[i] = binomial_draw(gen, sizes, 0.5 - delta)
-        return state
+        return self._slot_initial_state(
+            replicas, init_ss, delta=delta, blue_counts=blue_counts,
+            pinned=pinned,
+        )
 
     def state_from_opinions(self, opinions):
         br, half = self.bridges, self.half

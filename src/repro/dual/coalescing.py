@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.graphs.base import Graph
 from repro.util.rng import SeedLike, as_generator
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_positive_int, check_vertex_set
 
 __all__ = ["CoalescingWalkResult", "coalescing_random_walk", "meeting_time"]
 
@@ -71,11 +71,7 @@ def coalescing_random_walk(
     if start is None:
         current = np.arange(n, dtype=np.int64)
     else:
-        current = np.unique(np.asarray(start, dtype=np.int64))
-        if current.size == 0:
-            raise ValueError("start set must be non-empty")
-        if current.min() < 0 or current.max() >= n:
-            raise ValueError(f"start vertices must lie in [0, {n})")
+        current = check_vertex_set(start, n)
     trajectory = [current.size]
     steps = 0
     while current.size > 1 and steps < max_steps:

@@ -22,7 +22,11 @@ import numpy as np
 
 from repro.graphs.base import Graph
 from repro.util.rng import SeedLike, as_generator
-from repro.util.validation import check_nonnegative_int, check_positive_int
+from repro.util.validation import (
+    check_nonnegative_int,
+    check_positive_int,
+    check_vertex_set,
+)
 
 __all__ = ["CobraTrajectory", "cobra_walk", "cobra_cover_time"]
 
@@ -86,17 +90,7 @@ def cobra_walk(
     steps = check_nonnegative_int(steps, "steps")
     k = check_positive_int(k, "k")
     gen = as_generator(rng)
-    if np.isscalar(start):
-        current = np.array([int(start)], dtype=np.int64)
-    else:
-        current = np.unique(np.asarray(start, dtype=np.int64))
-    if current.size == 0:
-        raise ValueError("start set must be non-empty")
-    if current.min() < 0 or current.max() >= graph.num_vertices:
-        raise ValueError(
-            f"start vertices must lie in [0, {graph.num_vertices})"
-        )
-    occupied = [current]
+    occupied = [check_vertex_set(start, graph.num_vertices)]
     for _ in range(steps):
         draws = graph.sample_neighbors(occupied[-1], k, gen)
         occupied.append(np.unique(draws).astype(np.int64))

@@ -50,6 +50,15 @@ class TestCoalescingWalk:
         with pytest.raises(ValueError, match="non-empty"):
             coalescing_random_walk(CompleteGraph(5), start=np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "start",
+        [np.array([0.5, 1.9]), np.array([True, False, True]), [True, True]],
+    )
+    def test_non_integer_start_rejected(self, start):
+        """Floats would be truncated and a bool mask read as ids 0/1."""
+        with pytest.raises(ValueError, match="integers"):
+            coalescing_random_walk(CompleteGraph(10), start=start, rng=0)
+
     def test_coalescence_scale_linear_in_n(self):
         """Coalescence time on K_n is Theta(n): check the scale roughly."""
         times = []

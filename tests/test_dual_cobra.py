@@ -48,6 +48,15 @@ class TestCobraWalk:
         with pytest.raises(ValueError, match="non-empty"):
             cobra_walk(g, np.array([], dtype=np.int64), 2)
 
+    @pytest.mark.parametrize(
+        "start",
+        [np.array([0.5, 1.9]), np.array([True, False, True]), 1.5, True],
+    )
+    def test_non_integer_start_rejected(self, start):
+        """Floats would be truncated and a bool mask read as ids 0/1."""
+        with pytest.raises(ValueError, match="integers"):
+            cobra_walk(CompleteGraph(10), start, 1, rng=0)
+
     def test_zero_steps(self):
         g = CompleteGraph(10)
         tr = cobra_walk(g, 3, 0, rng=6)

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.util.rng import RngStreams, as_generator, spawn_generators
+from repro.util.rng import (
+    RngStreams,
+    as_generator,
+    replica_streams,
+    spawn_generators,
+)
 
 
 class TestAsGenerator:
@@ -70,6 +77,57 @@ class TestSpawnGenerators:
 
     def test_zero_ok(self):
         assert spawn_generators(0, 0) == []
+
+
+_ENTROPY = st.one_of(
+    st.integers(0, 2**256),
+    st.lists(st.integers(0, 2**96), min_size=1, max_size=6),
+    st.none(),
+)
+
+
+class TestReplicaStreams:
+    """``replica_streams`` must replay ``SeedSequence.spawn`` exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entropy=_ENTROPY,
+        spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
+        start=st.one_of(st.just(0), st.integers(1, 2**20)),
+        pool_size=st.sampled_from([4, 8]),
+        n=st.sampled_from([0, 1, 2, 1000]),
+    )
+    def test_states_match_spawn_child_by_child(
+        self, entropy, spawn_key, start, pool_size, n
+    ):
+        parent = np.random.SeedSequence(
+            entropy, spawn_key=spawn_key, pool_size=pool_size,
+            n_children_spawned=start,
+        )
+        # The helper leaves the counter alone, so spawn sees the same
+        # children afterwards.
+        got = [g.bit_generator.state for g in replica_streams(parent, n)]
+        assert parent.n_children_spawned == start
+        want = [
+            np.random.PCG64(child).state for child in parent.spawn(n)
+        ]
+        assert got == want
+
+    def test_nested_spawn_and_generator_parent(self):
+        root = np.random.SeedSequence(2024)
+        nested = root.spawn(3)[2].spawn(5)[4]
+        for seed in (nested, as_generator(nested), 17, [1, 2, 3]):
+            got = [g.random(3).tolist() for g in replica_streams(seed, 6)]
+            want = [g.random(3).tolist() for g in spawn_generators(seed, 6)]
+            assert got == want
+
+    def test_one_generator_reseeded_per_child(self):
+        gens = [id(g) for g in replica_streams(5, 4)]
+        assert len(set(gens)) == 1
+
+    def test_negative_raises(self):
+        with pytest.raises(ValueError, match="negative"):
+            replica_streams(0, -1)
 
 
 class TestRngStreams:
