@@ -140,7 +140,6 @@ def binomial_draw(
 
 def _replica_binomials(
     streams: Iterable[np.random.Generator],
-    replicas: int,
     counts: np.ndarray | int,
     p: float,
 ) -> np.ndarray:
@@ -158,7 +157,7 @@ def _replica_binomials(
     # array call.
     draws = plan.scalar_draws()
     rows = [[draw(gen, *args) for draw, args in draws] for gen in streams]
-    raw = np.array(rows, dtype=np.float64).reshape(replicas, plan.width)
+    raw = np.array(rows, dtype=np.float64).reshape(len(rows), plan.width)
     return plan.finish(raw)
 
 
@@ -545,9 +544,7 @@ class CountChainKernel(abc.ABC):
             keep = slice(1, None, 2)
         streams = replica_streams(init_ss, replicas)
         if blue_counts is None:
-            return pinned + _replica_binomials(
-                streams, replicas, free, 0.5 - delta
-            )
+            return pinned + _replica_binomials(streams, free, 0.5 - delta)
         counts = _broadcast_counts(blue_counts, replicas, self.n)
         state = np.empty((replicas, sizes.size), dtype=np.int64)
         for i, gen in enumerate(streams):

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.graphs.base import Graph
 from repro.util.rng import SeedLike, as_generator
-from repro.util.validation import check_positive_int, check_vertex_set
+from repro.util.validation import check_positive_int, check_start_vertices
 
 __all__ = ["CoalescingWalkResult", "coalescing_random_walk", "meeting_time"]
 
@@ -71,7 +71,7 @@ def coalescing_random_walk(
     if start is None:
         current = np.arange(n, dtype=np.int64)
     else:
-        current = check_vertex_set(start, n)
+        current = check_start_vertices(start, n)
     trajectory = [current.size]
     steps = 0
     while current.size > 1 and steps < max_steps:

@@ -25,7 +25,7 @@ from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import (
     check_nonnegative_int,
     check_positive_int,
-    check_vertex_set,
+    check_start_vertices,
 )
 
 __all__ = ["CobraTrajectory", "cobra_walk", "cobra_cover_time"]
@@ -90,7 +90,7 @@ def cobra_walk(
     steps = check_nonnegative_int(steps, "steps")
     k = check_positive_int(k, "k")
     gen = as_generator(rng)
-    occupied = [check_vertex_set(start, graph.num_vertices)]
+    occupied = [check_start_vertices(start, graph.num_vertices)]
     for _ in range(steps):
         draws = graph.sample_neighbors(occupied[-1], k, gen)
         occupied.append(np.unique(draws).astype(np.int64))

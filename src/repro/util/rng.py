@@ -15,9 +15,9 @@ measured consensus-time distributions.
 
 :func:`replica_streams` yields exactly the streams ``spawn_generators``
 would, but derives every child's PCG64 state in one numpy pass and
-re-seeds one reused generator per child — the engine's per-replica
-initial states draw ``10⁴`` streams per call, and three Python objects
-per stream were most of a large count-chain call's time.
+re-seeds one reused generator per child: the engine's per-replica
+initial states read ``10⁴`` streams per call, and building three Python
+objects per stream would dominate a large count-chain call.
 """
 
 from __future__ import annotations
@@ -107,11 +107,13 @@ def _entropy_words(value) -> int:
     return sum(_entropy_words(v) for v in value)
 
 
-def _hashmix(words: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's ``hashmix`` over an array of words (one shared
-    constant, as every child hashes at the same position)."""
+def _hash(
+    words: np.ndarray, hash_const: int, mult: int
+) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash step over an array of words, all at the same
+    hash position; returns the hashed words and the next constant."""
     value = words ^ np.uint32(hash_const)
-    hash_const = hash_const * _MULT_A & _MASK32
+    hash_const = hash_const * mult & _MASK32
     value *= np.uint32(hash_const)
     value ^= value >> np.uint32(16)
     return value, hash_const
@@ -133,10 +135,10 @@ def _child_seed_words(ss: np.random.SeedSequence, n: int) -> np.ndarray:
     prefix = max(_entropy_words(ss.entropy), size)
     prefix += _entropy_words(ss.spawn_key)
     hash_const = _INIT_A * pow(_MULT_A, size * prefix, 1 << 32) & _MASK32
-    index = np.arange(start, start + n, dtype=np.uint64).astype(np.uint32)
+    index = np.arange(start, start + n, dtype=np.uint32)
     pool = np.empty((n, size), dtype=np.uint32)
     for dst, word in enumerate(ss.pool.tolist()):
-        mixed, hash_const = _hashmix(index, hash_const)
+        mixed, hash_const = _hash(index, hash_const, _MULT_A)
         left = np.uint32(_MIX_MULT_L * word & _MASK32)
         col = left - np.uint32(_MIX_MULT_R) * mixed
         col ^= col >> np.uint32(16)
@@ -146,11 +148,9 @@ def _child_seed_words(ss: np.random.SeedSequence, n: int) -> np.ndarray:
     state = np.empty((n, 8), dtype=np.uint32)
     hash_const = _INIT_B
     for dst in range(8):
-        value = pool[:, dst % size] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> np.uint32(16)
-        state[:, dst] = value
+        state[:, dst], hash_const = _hash(
+            pool[:, dst % size], hash_const, _MULT_B
+        )
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 

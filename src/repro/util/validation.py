@@ -20,7 +20,7 @@ __all__ = [
     "check_fraction",
     "check_in_range",
     "check_odd",
-    "check_vertex_set",
+    "check_start_vertices",
 ]
 
 
@@ -98,20 +98,20 @@ def check_odd(value: Any, name: str) -> int:
     return value
 
 
-def check_vertex_set(values: Any, n: int, name: str = "start") -> np.ndarray:
-    """Validate a non-empty set of vertex ids of an ``n``-vertex graph.
+def check_start_vertices(start: Any, n: int) -> np.ndarray:
+    """Validate a non-empty start set of vertex ids of an ``n``-vertex graph.
 
     Returns the ids sorted and de-duplicated as ``int64``.  A float array
     would be truncated and a bool mask read as 0/1 ids, so any dtype that
     is not an integer one is rejected, as the graph samplers do.
     """
-    ids = np.atleast_1d(np.asarray(values))
+    ids = np.atleast_1d(np.asarray(start))
     if ids.size == 0:
-        raise ValueError(f"{name} set must be non-empty")
+        raise ValueError("start set must be non-empty")
     if ids.dtype.kind not in "iu":
         raise ValueError(
-            f"{name} vertex ids must be integers, got dtype {ids.dtype}"
+            f"start vertex ids must be integers, got dtype {ids.dtype}"
         )
     if ids.min() < 0 or ids.max() >= n:
-        raise ValueError(f"{name} vertices must lie in [0, {n})")
+        raise ValueError(f"start vertices must lie in [0, {n})")
     return np.unique(ids.astype(np.int64))
