@@ -27,15 +27,12 @@ Execution
 ---------
 Points already in the cache at submission never touch the queue (a
 fully warm grid is *born* done).  Misses are enqueued and drained in
-the background: with ``workers == 0`` a daemon thread in this process
-runs the standard :func:`~repro.sweeps.scheduler.run_worker` loop;
-with ``workers > 0`` that many ``repro worker`` subprocesses are
-spawned and babysat — dead workers are reaped, their leases released
-immediately, and replacements spawned within a bounded budget — the
-same recovery discipline as ``repro sweep --workers N``.  A job
-survives the death of every worker *and* of the service itself: the
-spool is the source of truth, and re-attaching resumes from whatever
-landed.
+the background by one daemon thread per job running
+:func:`~repro.sweeps.scheduler.drain_spool`, the supervisor behind
+``repro sweep --spool``: inline with ``workers == 0``, else through a
+babysat ``repro worker`` fleet of that size.  A job survives the death
+of every worker *and* of the service itself: the spool is the source
+of truth, and re-attaching resumes from whatever landed.
 
 The spool root must live **outside** the cache root: the cache GC
 treats every ``*.json`` under its shards as an entry, and job manifests
@@ -47,8 +44,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
-import sys
 import threading
 import time
 from pathlib import Path
@@ -62,7 +57,7 @@ from repro.analysis.tables import (
 from repro.io.results import payload_to_dict
 from repro.sweeps.cache import SweepCache
 from repro.sweeps.queue import WorkQueue, queue_key
-from repro.sweeps.scheduler import run_worker, worker_env
+from repro.sweeps.scheduler import drain_spool
 from repro.sweeps.spec import (
     Point,
     SweepSpec,
@@ -236,93 +231,24 @@ class JobManager:
             queue.close()
         if unfinished == 0:
             return
-        target = self._drain_subprocesses if self.workers > 0 else self._drain_inline
+
+        def _drain() -> None:
+            try:
+                drain_spool(
+                    record.spool,
+                    self.cache,
+                    workers=self.workers,
+                    lease_ttl_s=self.lease_ttl_s,
+                    max_attempts=self.max_attempts,
+                    worker_prefix=f"job-{record.job_id[:8]}-worker",
+                )
+            except Exception as exc:  # pragma: no cover - defensive
+                record.error = f"{type(exc).__name__}: {exc}"
+
         record.thread = threading.Thread(
-            target=target,
-            args=(record,),
-            name=f"repro-job-{record.job_id[:8]}",
-            daemon=True,
+            target=_drain, name=f"repro-job-{record.job_id[:8]}", daemon=True
         )
         record.thread.start()
-
-    def _drain_inline(self, record: _JobRecord) -> None:
-        """workers == 0: this process drains the spool in a thread."""
-        try:
-            run_worker(
-                record.spool,
-                self.cache,
-                worker_id=f"service-{os.getpid()}",
-                lease_ttl_s=self.lease_ttl_s,
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            record.error = f"{type(exc).__name__}: {exc}"
-
-    def _drain_subprocesses(self, record: _JobRecord) -> None:
-        """workers > 0: spawn and babysit a ``repro worker`` fleet.
-
-        The same reap → release_worker → respawn loop as the sweep
-        scheduler's spool backend, with the same bounded respawn budget;
-        if the fleet exhausts its budget with work left, the drain
-        finishes inline so a submitted job always reaches a terminal
-        state.
-        """
-        env = worker_env()
-        queue = WorkQueue(record.spool, max_attempts=self.max_attempts)
-        respawn_budget = self.workers * self.max_attempts
-        procs: dict[str, subprocess.Popen] = {}
-        spawned = 0
-
-        def _spawn() -> None:
-            nonlocal spawned
-            spawned += 1
-            wid = f"job-{record.job_id[:8]}-worker-{spawned}"
-            procs[wid] = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "worker",
-                    "--spool",
-                    str(record.spool),
-                    "--cache-dir",
-                    str(self.cache.root),
-                    "--worker-id",
-                    wid,
-                    "--lease-ttl",
-                    str(self.lease_ttl_s),
-                ],
-                env=env,
-            )
-
-        try:
-            for _ in range(self.workers):
-                _spawn()
-            while queue.unfinished() > 0:
-                queue.requeue_expired()
-                for wid, proc in list(procs.items()):
-                    if proc.poll() is None:
-                        continue
-                    del procs[wid]
-                    queue.release_worker(wid)
-                    if queue.unfinished() > 0 and spawned < respawn_budget:
-                        _spawn()
-                if not procs and queue.unfinished() > 0:
-                    run_worker(
-                        record.spool,
-                        self.cache,
-                        worker_id=f"service-{os.getpid()}",
-                        lease_ttl_s=self.lease_ttl_s,
-                    )
-                    break
-                time.sleep(0.05)
-            for proc in procs.values():
-                proc.wait(timeout=60.0)
-        except Exception as exc:  # pragma: no cover - defensive
-            record.error = f"{type(exc).__name__}: {exc}"
-            for proc in procs.values():
-                proc.terminate()
-        finally:
-            queue.close()
 
     # -- polling -------------------------------------------------------
 

@@ -31,9 +31,9 @@ Worker death no longer aborts a sweep.  The pool backend catches
 and retries the in-flight points *one per pool* so blame lands on the
 actual crasher; a point whose worker dies ``max_attempts`` times is
 quarantined.  The spool backend gets the same guarantees from the
-queue's lease/retry semantics, plus durability: the coordinator reaps
-dead worker processes, releases their leases immediately, and respawns
-replacements.  Under either backend a permanently failed point degrades
+queue's lease/retry semantics, plus durability: :func:`drain_spool`
+(also the service's job drain) reaps dead worker processes, releases
+their leases immediately, and respawns replacements.  Under either backend a permanently failed point degrades
 to a per-point :class:`SweepError` slot in its
 :class:`SweepOutcome` — with ``strict=True`` (the default) the run
 *then* raises one :class:`SweepError` naming every casualty, after all
@@ -87,6 +87,7 @@ __all__ = [
     "run_sweep",
     "run_sweeps",
     "run_worker",
+    "drain_spool",
     "ensure_outcome",
     "add_sweep_arguments",
     "cache_from_args",
@@ -294,6 +295,79 @@ def run_worker(
     return {"worker_id": wid, "executed": executed, "failed": failed}
 
 
+def drain_spool(
+    spool: str | Path,
+    cache: SweepCache,
+    *,
+    workers: int = 0,
+    lease_ttl_s: float = 300.0,
+    max_attempts: int = 3,
+    worker_prefix: str = "spool-worker",
+) -> None:
+    """Drain *spool* until every point is terminal — the one supervisor.
+
+    ``workers <= 0`` runs :func:`run_worker` in the calling thread.
+    ``workers > 0`` spawns that many ``repro worker`` subprocesses and
+    babysits them: a dead worker's leases are released at once and a
+    replacement is spawned while work remains, up to ``workers *
+    max_attempts`` spawns in all (so a worker-killing point that somehow
+    escapes quarantine cannot respawn forever); a fleet that exhausts
+    the budget with work left is finished inline.  Worker ids are
+    ``f"{worker_prefix}-{pid}-{n}"``, so two coordinators sharing one
+    spool never release each other's leases.
+
+    Shared by ``run_sweeps(spool=...)`` and the service's job drain.
+    It opens its own :class:`WorkQueue` because SQLite handles are
+    thread-affine and the job drain runs in a daemon thread.  Any
+    exception (Ctrl-C included) terminates the live workers and
+    propagates.
+    """
+    prefix = f"{worker_prefix}-{os.getpid()}"
+    env = worker_env()
+    queue = WorkQueue(spool, max_attempts=max_attempts)
+    procs: dict[str, subprocess.Popen] = {}
+    spawned = 0
+
+    def _spawn() -> None:
+        nonlocal spawned
+        spawned += 1
+        wid = f"{prefix}-{spawned}"
+        procs[wid] = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--spool", str(spool),
+             "--cache-dir", str(cache.root), "--worker-id", wid,
+             "--lease-ttl", str(lease_ttl_s)],
+            env=env,
+        )
+
+    try:
+        for _ in range(workers):
+            _spawn()
+        while procs and queue.unfinished() > 0:
+            queue.requeue_expired()
+            for wid, proc in list(procs.items()):
+                if proc.poll() is None:
+                    continue
+                del procs[wid]
+                queue.release_worker(wid)
+                if queue.unfinished() > 0 and spawned < workers * max_attempts:
+                    _spawn()
+            if procs:
+                time.sleep(0.05)
+        for proc in procs.values():
+            proc.wait(timeout=60.0)
+        if queue.unfinished() > 0:
+            # No fleet asked for, or it spent its budget: finish here.
+            run_worker(
+                spool, cache, worker_id=f"{prefix}-inline", lease_ttl_s=lease_ttl_s
+            )
+    except BaseException:
+        for proc in procs.values():
+            proc.terminate()
+        raise
+    finally:
+        queue.close()
+
+
 def run_sweeps(
     specs: Sequence[SweepSpec],
     *,
@@ -331,13 +405,10 @@ def run_sweeps(
     spool:
         A directory: run through the durable
         :class:`~repro.sweeps.queue.WorkQueue` spooled there instead of
-        the in-process pool.  With ``workers == 0`` the calling process
-        drains the queue itself (durable bookkeeping, one process);
-        with ``workers > 0`` that many ``repro worker`` subprocesses
-        are spawned, monitored, and reaped — a killed worker's leases
-        are released immediately and a replacement is spawned.
+        the in-process pool, drained by :func:`drain_spool`.
     workers:
-        Spool worker subprocesses (see above).  Ignored without *spool*.
+        Spool worker subprocesses; ``0`` drains in the calling process.
+        Ignored without *spool*.
     strict:
         With the default ``True``, permanently failed points raise one
         :class:`SweepError` (carrying per-point ``failures``) **after**
@@ -582,17 +653,13 @@ def run_sweeps(
         points = {queue_key(unique[c]): c for c in contents}
         try:
             queue.enqueue([unique[c] for c in contents])
-            if workers <= 0:
-                # Single-process durable run: the coordinator drains its
-                # own spool (resume bookkeeping without the fleet).
-                run_worker(
-                    spool,
-                    cache,
-                    worker_id=f"coordinator-{os.getpid()}",
-                    lease_ttl_s=lease_ttl_s,
-                )
-            else:
-                _drive_workers(queue)
+            drain_spool(
+                spool,
+                cache,
+                workers=workers,
+                lease_ttl_s=lease_ttl_s,
+                max_attempts=max_attempts,
+            )
             # Collect: `done` certifies the payload is durably cached.
             for key, (state, error, n_attempts) in queue.states().items():
                 content = points.get(key)
@@ -620,68 +687,6 @@ def run_sweeps(
             requeues_n += qstats.requeues
         finally:
             queue.close()
-
-    def _drive_workers(queue: WorkQueue) -> None:
-        """Spawn, monitor, reap, and replace ``repro worker`` processes."""
-        env = worker_env()
-        respawn_budget = workers * max_attempts
-        procs: dict[str, subprocess.Popen] = {}
-        spawned = 0
-
-        def _spawn() -> None:
-            nonlocal spawned
-            spawned += 1
-            wid = f"spool-worker-{os.getpid()}-{spawned}"
-            procs[wid] = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "worker",
-                    "--spool",
-                    str(spool),
-                    "--cache-dir",
-                    str(cache.root),
-                    "--worker-id",
-                    wid,
-                    "--lease-ttl",
-                    str(lease_ttl_s),
-                ],
-                env=env,
-            )
-
-        for _ in range(workers):
-            _spawn()
-        try:
-            while queue.unfinished() > 0:
-                queue.requeue_expired()
-                for wid, proc in list(procs.items()):
-                    if proc.poll() is None:
-                        continue
-                    # Dead worker: reclaim its leases *now* rather than
-                    # waiting out the TTL, and replace it while work
-                    # remains (bounded, so a worker-killing point that
-                    # somehow escapes quarantine cannot respawn forever).
-                    del procs[wid]
-                    queue.release_worker(wid)
-                    if queue.unfinished() > 0 and spawned < respawn_budget:
-                        _spawn()
-                if not procs and queue.unfinished() > 0:
-                    # Fleet exhausted with work left: finish it here.
-                    run_worker(
-                        spool,
-                        cache,
-                        worker_id=f"coordinator-{os.getpid()}",
-                        lease_ttl_s=lease_ttl_s,
-                    )
-                    break
-                time.sleep(0.05)
-            for proc in procs.values():
-                proc.wait(timeout=60.0)
-        except BaseException:
-            for proc in procs.values():
-                proc.terminate()
-            raise
 
     try:
         if spool is not None:

@@ -197,6 +197,40 @@ class TestFaultTolerance:
             np.testing.assert_array_equal(payload.steps, ref.steps)
             np.testing.assert_array_equal(payload.winners, ref.winners)
 
+    def test_point_that_always_kills_workers_fails_job_point(
+        self, tmp_path, monkeypatch
+    ):
+        spec = _spec()
+        clean = run_sweep(spec, jobs=1)
+        # One worker, max_attempts 3: "b" kills all three spawns the
+        # budget allows and is poisoned at the third death.
+        env = faults.arm(tmp_path / "faults", kill={"b": 99})
+        monkeypatch.setenv(faults.ENV_VAR, env[faults.ENV_VAR])
+        manager = JobManager(
+            tmp_path / "jobs",
+            SweepCache(tmp_path / "cache"),
+            workers=1,
+            lease_ttl_s=60.0,
+        )
+        job_id, _ = manager.submit(spec)
+        status = _wait_terminal(manager, job_id)
+        record = manager._load(job_id)
+        record.thread.join(timeout=60.0)
+        assert not record.thread.is_alive()  # the drain terminated
+        assert status["state"] == "failed"
+        assert status["failed"] == 1
+        assert status["queue"]["poisoned"] == 1
+        assert status["error"] is None
+        for (point, state, payload), ref in zip(
+            manager._point_states(record), clean.ensembles
+        ):
+            if point.label == "b":
+                assert (state, payload) == ("failed", None)
+            else:
+                assert state == "done"
+                np.testing.assert_array_equal(payload.steps, ref.steps)
+                np.testing.assert_array_equal(payload.winners, ref.winners)
+
 
 class TestReattach:
     def test_fresh_manager_resumes_pending_job_from_disk(self, tmp_path):

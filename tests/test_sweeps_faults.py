@@ -339,6 +339,80 @@ class TestSpoolExecution:
         assert outcome.stats.failures == 0
         _assert_outcomes_equal(outcome, clean)
 
+    def test_point_that_always_kills_spool_workers_is_quarantined(
+        self, tmp_path, monkeypatch
+    ):
+        import threading
+
+        spec = _spec()
+        clean = run_sweep(spec, jobs=1)
+        # One worker, max_attempts 3: a budget of three spawns, and "b"
+        # kills every one.  release_worker poisons "b" at the third
+        # death, so the inline fallback never executes it.
+        env = faults.arm(tmp_path / "faults", kill={"b": 99})
+        monkeypatch.setenv(faults.ENV_VAR, env[faults.ENV_VAR])
+        box: list = []
+        drain = threading.Thread(
+            target=lambda: box.append(
+                run_sweep(
+                    spec,
+                    cache=SweepCache(tmp_path / "cache"),
+                    spool=tmp_path / "spool",
+                    workers=1,
+                    strict=False,
+                    lease_ttl_s=60.0,
+                )
+            ),
+            daemon=True,
+        )
+        drain.start()
+        drain.join(timeout=120.0)
+        assert not drain.is_alive(), "spool drain did not terminate"
+        (outcome,) = box
+        (err,) = outcome.errors
+        assert err.point.label == "b"
+        assert err.attempts == 3  # quarantined at max_attempts deaths
+        assert outcome.stats.failures == 1
+        for (point, ens), ref in zip(outcome, clean.ensembles):
+            if point.label != "b":
+                np.testing.assert_array_equal(ens.steps, ref.steps)
+                np.testing.assert_array_equal(ens.winners, ref.winners)
+
+    def test_fleet_respawns_within_budget_then_finishes_inline(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sweeps import scheduler
+
+        spec = _spec()
+        cache = SweepCache(tmp_path / "cache")
+        with WorkQueue(tmp_path / "spool") as q:
+            q.enqueue(list(spec.points))
+        worker_ids: list[str] = []
+
+        class _DeadOnArrival:
+            """A ``repro worker`` that exits before leasing anything."""
+
+            def __init__(self, argv, env):
+                worker_ids.append(argv[argv.index("--worker-id") + 1])
+
+            def poll(self):
+                return 0
+
+        monkeypatch.setattr(scheduler.subprocess, "Popen", _DeadOnArrival)
+        scheduler.drain_spool(
+            tmp_path / "spool",
+            cache,
+            workers=2,
+            max_attempts=3,
+            worker_prefix="fleet",
+        )
+        pid = os.getpid()
+        assert worker_ids == [f"fleet-{pid}-{n}" for n in range(1, 7)]
+        with WorkQueue(tmp_path / "spool") as q:  # the inline drain finished
+            assert q.counts()["done"] == len(spec.points)
+        for point in spec.points:
+            assert cache.get(point) is not None
+
 
 class TestResumeAfterKill:
     def test_sigkilled_sweep_resumes_from_cache(self, tmp_path):
