@@ -115,12 +115,10 @@ def cobra_cover_time(
     check_positive_int(max_steps, "max_steps")
     gen = as_generator(rng)
     n = graph.num_vertices
-    if not 0 <= start < n:
-        raise ValueError(f"start {start} out of range [0, {n})")
+    current = check_start_vertices(start, n)
     visited = np.zeros(n, dtype=bool)
-    current = np.array([start], dtype=np.int64)
     visited[current] = True
-    remaining = n - 1
+    remaining = n - current.size
     for t in range(1, max_steps + 1):
         draws = graph.sample_neighbors(current, k, gen)
         current = np.unique(draws).astype(np.int64)

@@ -113,5 +113,5 @@ def check_start_vertices(start: Any, n: int) -> np.ndarray:
             f"start vertex ids must be integers, got dtype {ids.dtype}"
         )
     if ids.min() < 0 or ids.max() >= n:
-        raise ValueError(f"start vertices must lie in [0, {n})")
+        raise ValueError(f"start vertices out of range [0, {n})")
     return np.unique(ids.astype(np.int64))

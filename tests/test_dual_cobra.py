@@ -104,3 +104,17 @@ class TestCoverTime:
     def test_start_validated(self):
         with pytest.raises(ValueError, match="out of range"):
             cobra_cover_time(CompleteGraph(10), start=10)
+
+    @pytest.mark.parametrize(
+        "start", [0.5, 1.9, True, np.array([0.5]), np.array([True, False])]
+    )
+    def test_non_integer_start_rejected(self, start):
+        """``start=0.5`` and ``start=True`` used to run from vertex 0."""
+        with pytest.raises(ValueError, match="integers"):
+            cobra_cover_time(CompleteGraph(10), start=start, rng=1)
+
+    def test_numpy_integer_start_accepted(self):
+        g = CompleteGraph(10)
+        assert cobra_cover_time(g, start=np.int32(3), rng=1) == cobra_cover_time(
+            g, start=3, rng=1
+        )
