@@ -439,6 +439,25 @@ class CountChainKernel(abc.ABC):
     def slot_sizes(self) -> np.ndarray:
         """``(num_slots,)`` vertex counts per slot (1 for explicit slots)."""
 
+    @property
+    @abc.abstractmethod
+    def slot_starts(self) -> np.ndarray:
+        """``(num_slots,)`` first vertex id of each slot.
+
+        Every slot is a contiguous run of vertex ids, ``slot_sizes``
+        long, which is what gives :meth:`first_vertex_counts` its
+        closed form.
+        """
+
+    def first_vertex_counts(self, z: int) -> np.ndarray:
+        """Per-slot counts of the vertices ``0 .. z − 1`` in O(slots).
+
+        The zealot convention pins the first ``z`` vertices; this is
+        their projection through :meth:`state_from_opinions` without
+        building an ``n``-long indicator.
+        """
+        return np.clip(z - self.slot_starts, 0, self.slot_sizes)
+
     @abc.abstractmethod
     def initial_state(
         self,
@@ -533,6 +552,12 @@ class CountChainKernel(abc.ABC):
         splits over the interleaved ``(pinned, free)`` sub-slot sizes.
         """
         pinned = self.check_pinned(pinned)
+        if blue_counts is not None and self.n >= 10**9:
+            raise ValueError(
+                f"an exact blue-count start needs n < 10^9 on this host "
+                f"(n = {self.n}): NumPy's multivariate hypergeometric "
+                "cannot split more; use the i.i.d. delta start instead"
+            )
         sizes = self.slot_sizes
         if pinned is None or not pinned.any():
             pinned, free, split, keep = 0, sizes, sizes, slice(None)
@@ -576,6 +601,10 @@ class CompleteKernel(CountChainKernel):
     @property
     def slot_sizes(self) -> np.ndarray:
         return np.array([self.n], dtype=np.int64)
+
+    @property
+    def slot_starts(self) -> np.ndarray:
+        return np.zeros(1, dtype=np.int64)
 
     def initial_state(
         self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None
@@ -635,6 +664,10 @@ class MultipartiteKernel(CountChainKernel):
     @property
     def slot_sizes(self) -> np.ndarray:
         return self.sizes
+
+    @property
+    def slot_starts(self) -> np.ndarray:
+        return self._offsets[:-1]
 
     def initial_state(
         self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None
@@ -706,6 +739,12 @@ class TwoCliqueBridgeKernel(CountChainKernel):
         return np.array(
             [nb, nb] + [1] * (2 * self.bridges), dtype=np.int64
         )
+
+    @property
+    def slot_starts(self) -> np.ndarray:
+        br, half = self.bridges, self.half
+        bridge_ids = np.arange(br, dtype=np.int64)
+        return np.concatenate([[br, half + br], bridge_ids, half + bridge_ids])
 
     def initial_state(
         self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None

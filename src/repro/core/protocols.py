@@ -388,10 +388,6 @@ class ZealotBestOfK(BestOfK):
     ) -> None:
         super().__init__(k, tie_rule=tie_rule)
         self.zealots = check_nonnegative_int(int(zealots), "zealots")
-        # Single-slot memo (kernel, pinned): the common case is one host
-        # per protocol, and an id-keyed dict would pin every kernel ever
-        # seen for the protocol's lifetime.
-        self._pinned_memo: tuple[CountChainKernel, np.ndarray] | None = None
 
     def _repin(self, opinions: np.ndarray) -> np.ndarray:
         """Force the zealot vertices BLUE — the one pinning convention
@@ -421,15 +417,7 @@ class ZealotBestOfK(BestOfK):
             raise ValueError(
                 f"zealot count {self.zealots} exceeds n={kernel.n}"
             )
-        if self._pinned_memo is not None and self._pinned_memo[0] is kernel:
-            return self._pinned_memo[1]
-        # Project the pinned-vertex indicator through the kernel's own
-        # layout: per-slot counts of the first z vertices.
-        indicator = np.zeros((1, kernel.n), dtype=OPINION_DTYPE)
-        indicator[0, : self.zealots] = 1
-        pinned = kernel.state_from_opinions(indicator)[0]
-        self._pinned_memo = (kernel, pinned)
-        return pinned
+        return kernel.first_vertex_counts(self.zealots)
 
     def kernel_step(self, kernel, state, rng):
         return kernel.step(

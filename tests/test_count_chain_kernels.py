@@ -372,6 +372,23 @@ class TestKernelBookkeeping:
                 2, np.random.SeedSequence(0), blue_counts=25
             )
 
+    def test_exact_count_start_beyond_hypergeometric_limit(self):
+        """NumPy's hypergeometric split stops below 10^9 vertices."""
+        ss = np.random.SeedSequence(0)
+        kernel = CompleteMultipartiteGraph(
+            [30, 50, 3 * 10**9]
+        ).count_chain_kernel()
+        with pytest.raises(ValueError, match=r"n < 10\^9.*delta start"):
+            kernel.initial_state(40, ss, blue_counts=17)
+        assert kernel.initial_state(40, ss, delta=0.1).shape == (40, 3)
+        mega = CompleteGraph(10**10).count_chain_kernel()
+        with pytest.raises(ValueError, match=r"n < 10\^9"):
+            mega.initial_state(3, ss, blue_counts=17, pinned=np.array([5]))
+        # The unpinned K_n exact count draws nothing, so it has no limit.
+        np.testing.assert_array_equal(
+            mega.initial_state(3, ss, blue_counts=17), [[17]] * 3
+        )
+
     def test_implicit_degree_stats_closed_form(self):
         """Mega-n hosts must not materialise O(n) degree arrays."""
         g = CompleteGraph(10**10)

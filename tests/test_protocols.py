@@ -31,6 +31,11 @@ from repro.baselines.plurality import (
     random_plurality_opinions,
 )
 from repro.core.ensemble import build_initial_matrix, run_ensemble
+from repro.core.kernels import (
+    CompleteKernel,
+    MultipartiteKernel,
+    TwoCliqueBridgeKernel,
+)
 from repro.core.meanfield import (
     best_of_k_map,
     noisy_best_of_k_map,
@@ -247,6 +252,50 @@ class TestZealotEquivalence:
             stats.ks_2samp(res.final_totals, dense.final_totals).pvalue
             > KS_ALPHA
         )
+
+    def test_zealot_chain_on_mega_host_pins_in_o_slots(self):
+        """K_{10^10} used to need a 10 GB (1, n) pinned-vertex indicator."""
+        import tracemalloc
+
+        graph = CompleteGraph(10**10)
+        proto = ZealotBestOfK(1000)
+        kernel = graph.count_chain_kernel()
+        tracemalloc.start()
+        try:
+            pinned = proto.kernel_pinned(kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(pinned, [1000])
+        assert peak < 64 * 1024
+        res = run_ensemble(
+            graph, protocol=proto, replicas=16, delta=0.1, seed=0,
+            max_steps=200, record_trajectories=False,
+        )
+        assert res.method == "count_chain"
+        # δ = 0.1 and a negligible zealot share: the ordinary vertices
+        # turn red, which leaves exactly the pinned mass blue.
+        assert res.converged.all()
+        np.testing.assert_array_equal(res.final_totals, 1000)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            CompleteKernel(17),
+            MultipartiteKernel([3, 5, 7, 1]),
+            TwoCliqueBridgeKernel(6, 1),
+            TwoCliqueBridgeKernel(6, 3),
+        ],
+        ids=["complete", "multipartite", "bridge-1", "bridge-3"],
+    )
+    def test_first_vertex_counts_match_the_projection(self, kernel):
+        for z in range(kernel.n + 1):
+            indicator = np.zeros((1, kernel.n), dtype=np.uint8)
+            indicator[0, :z] = 1
+            np.testing.assert_array_equal(
+                kernel.first_vertex_counts(z),
+                kernel.state_from_opinions(indicator)[0],
+            )
 
     def test_pinned_initial_state_law(self):
         kernel = CompleteGraph(100).count_chain_kernel()
