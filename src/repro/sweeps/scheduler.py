@@ -327,32 +327,40 @@ def drain_spool(
     queue = WorkQueue(spool, max_attempts=max_attempts)
     procs: dict[str, subprocess.Popen] = {}
     spawned = 0
-
-    def _spawn() -> None:
-        nonlocal spawned
-        spawned += 1
-        wid = f"{prefix}-{spawned}"
-        procs[wid] = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--spool", str(spool),
-             "--cache-dir", str(cache.root), "--worker-id", wid,
-             "--lease-ttl", str(lease_ttl_s)],
-            env=env,
-        )
-
     try:
-        for _ in range(workers):
-            _spawn()
-        while procs and queue.unfinished() > 0:
+        while queue.unfinished() > 0:
             queue.requeue_expired()
             for wid, proc in list(procs.items()):
-                if proc.poll() is None:
-                    continue
-                del procs[wid]
-                queue.release_worker(wid)
-                if queue.unfinished() > 0 and spawned < workers * max_attempts:
-                    _spawn()
-            if procs:
-                time.sleep(0.05)
+                if proc.poll() is not None:
+                    del procs[wid]
+                    queue.release_worker(wid)
+            while (
+                len(procs) < workers
+                and spawned < workers * max_attempts
+                and queue.unfinished() > 0
+            ):
+                spawned += 1
+                wid = f"{prefix}-{spawned}"
+                procs[wid] = subprocess.Popen(
+                    [
+                        sys.executable,
+                        "-m",
+                        "repro",
+                        "worker",
+                        "--spool",
+                        str(spool),
+                        "--cache-dir",
+                        str(cache.root),
+                        "--worker-id",
+                        wid,
+                        "--lease-ttl",
+                        str(lease_ttl_s),
+                    ],
+                    env=env,
+                )
+            if not procs:
+                break
+            time.sleep(0.05)
         for proc in procs.values():
             proc.wait(timeout=60.0)
         if queue.unfinished() > 0:
