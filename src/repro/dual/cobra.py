@@ -109,7 +109,8 @@ def cobra_cover_time(
 
     The quantity studied by Berenbrink–Giakkoupis–Kling [3], Cooper–
     Radzik–Rivera [6] and Mitzenmacher–Rajaraman–Roche [9]; on expanders
-    it is ``O(log n)``.  Raises :class:`RuntimeError` if the cover time
+    it is ``O(log n)``.  *start* is a vertex id or a start set, as for
+    :func:`cobra_walk`.  Raises :class:`RuntimeError` if the cover time
     exceeds *max_steps* (e.g. disconnected hosts).
     """
     check_positive_int(max_steps, "max_steps")
@@ -119,6 +120,8 @@ def cobra_cover_time(
     visited = np.zeros(n, dtype=bool)
     visited[current] = True
     remaining = n - current.size
+    if remaining == 0:
+        return 0
     for t in range(1, max_steps + 1):
         draws = graph.sample_neighbors(current, k, gen)
         current = np.unique(draws).astype(np.int64)

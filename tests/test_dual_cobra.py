@@ -118,3 +118,6 @@ class TestCoverTime:
         assert cobra_cover_time(g, start=np.int32(3), rng=1) == cobra_cover_time(
             g, start=3, rng=1
         )
+
+    def test_start_set_covering_every_vertex_takes_zero_steps(self):
+        assert cobra_cover_time(CompleteGraph(3), start=[0, 1, 2], rng=1) == 0
