@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_nonnegative_int, check_positive_int
@@ -36,6 +35,8 @@ def wilson_interval(
     routinely observe 0 or 100% success (e.g. "red always wins"), where
     Wald intervals collapse to zero width.
     """
+    from scipy import stats
+
     successes = check_nonnegative_int(successes, "successes")
     trials = check_positive_int(trials, "trials")
     if successes > trials:
@@ -66,6 +67,8 @@ def clopper_pearson_interval(
     successes: int, trials: int, *, confidence: float = 0.95
 ) -> tuple[float, float]:
     """Exact (conservative) Clopper–Pearson binomial interval."""
+    from scipy import stats
+
     successes = check_nonnegative_int(successes, "successes")
     trials = check_positive_int(trials, "trials")
     if successes > trials:
@@ -123,6 +126,8 @@ def empirical_survival(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def binomial_upper_tail(n: int, p: float, threshold: float) -> float:
     """Exact ``P(Bin(n, p) ≥ threshold)``."""
+    from scipy import stats
+
     n = check_positive_int(n, "n")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")

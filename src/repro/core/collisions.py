@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.core.voting_dag import VotingDAG
 from repro.util.validation import check_nonnegative_int, check_positive_int, check_probability
@@ -60,6 +59,8 @@ def binomial_majorant_p(h: int, d: int) -> float:
 
 def collision_tail_exact(h: int, d: int, threshold: float) -> float:
     """Exact majorant tail ``P(Bin(h, 9^h/d) > threshold)``."""
+    from scipy import stats
+
     p = binomial_majorant_p(h, d)
     return float(stats.binom.sf(math.floor(threshold), h, p))
 
@@ -83,6 +84,8 @@ def blue_leaf_tail_exact(h: int, p_leaf: float) -> float:
     The second term of equation (6): too many blue leaves even without
     collision help.
     """
+    from scipy import stats
+
     h = check_positive_int(h, "h")
     p_leaf = check_probability(p_leaf, "p_leaf")
     n_leaves = 3**h

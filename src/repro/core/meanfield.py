@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.core.dynamics import TieRule
 from repro.util.validation import check_positive_int, check_probability
@@ -54,6 +53,8 @@ def best_of_k_map(
     docstring).  ``k = 3`` reproduces
     :func:`repro.core.recursions.ideal_step` exactly (tested).
     """
+    from scipy import stats
+
     b = check_probability(b, "b")
     k = check_positive_int(k, "k")
     if b < 1e-300:
@@ -92,6 +93,8 @@ def best_of_k_map_parts(
     with one part per "class" of a bipartite host this reproduces the
     classical two-population majority map.
     """
+    from scipy import stats
+
     k = check_positive_int(k, "k")
     b = np.asarray(fractions, dtype=np.float64)
     s = np.asarray(sizes, dtype=np.float64)

@@ -22,7 +22,6 @@ from repro.core.voting_dag import VotingDAG
 from repro.graphs.implicit import CompleteGraph
 from repro.harness.base import ExperimentResult
 from repro.util.rng import spawn_generators
-from scipy import stats
 
 EXPERIMENT_ID = "E6"
 TITLE = "Collision-count majorant and root-blue tail (Lemma 7)"
@@ -35,6 +34,8 @@ PAPER_CLAIM = (
 
 
 def run(*, quick: bool = True, seed: int = 0) -> ExperimentResult:
+    from scipy import stats
+
     n = 32_768
     heights = [2, 3, 4] if quick else [2, 3, 4, 5, 6]
     n_dags = 300 if quick else 1500

@@ -14,7 +14,6 @@ Two checks of the duality:
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.core.voting_dag import VotingDAG
 from repro.dual.cobra import cobra_walk
@@ -32,6 +31,8 @@ PAPER_CLAIM = (
 
 
 def run(*, quick: bool = True, seed: int = 0) -> ExperimentResult:
+    from scipy import stats
+
     n = 512
     T = 4
     n_pairs = 200 if quick else 1000

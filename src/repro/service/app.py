@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterator
 from urllib.parse import parse_qs, urlsplit
@@ -376,9 +377,16 @@ def serve(config: ServiceConfig | None = None) -> None:
     app = ServiceApp(config)
     server = make_server(app)
     host, port = server.server_address[:2]
-    print(f"repro service listening on http://{host}:{port}")
-    print(f"  cache: {app.engine.cache.root}")
-    print(f"  jobs:  {app.jobs.spool_root} (workers={app.config.job_workers})")
+    # One write, then a flush: a supervisor that shares this file's
+    # offset and polls it with seek/read can otherwise see a later line
+    # land at offset 0 over the first, and a block-buffered file shows
+    # nothing until exit.
+    sys.stdout.write(
+        f"repro service listening on http://{host}:{port}\n"
+        f"  cache: {app.engine.cache.root}\n"
+        f"  jobs:  {app.jobs.spool_root} (workers={app.config.job_workers})\n"
+    )
+    sys.stdout.flush()
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -9,13 +9,16 @@ NDJSON streaming endpoint.
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro.service.app as app_module
 from repro.service import ServiceApp, ServiceConfig, make_server
 
 
@@ -170,3 +173,48 @@ class TestLiveServer:
 
         with urllib.request.urlopen(base_url + f"/v1/jobs/{job_id}") as resp:
             assert json.load(resp)["state"] == "done"
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_serve_prints_its_banner_in_one_write(tmp_path, monkeypatch):
+    # A supervisor that polls the server's log with seek(0)/read() while
+    # sharing its file offset loses the first line if a later write lands
+    # in between; one write leaves no gap.
+    real_make_server = app_module.make_server
+    bound = {}
+
+    def make_server(app):
+        server = real_make_server(app, port=0)
+        bound["address"] = server.server_address[:2]
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        server.serve_forever = interrupted
+        return server
+
+    monkeypatch.setattr(app_module, "make_server", make_server)
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    app_module.serve(
+        ServiceConfig(
+            cache_dir=str(tmp_path / "cache"),
+            spool_root=str(tmp_path / "jobs"),
+            port=0,
+        )
+    )
+    host, port = bound["address"]
+    lines = out.getvalue().splitlines()
+    assert out.writes == 1
+    assert out.getvalue().endswith("\n")
+    assert lines[0] == f"repro service listening on http://{host}:{port}"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == ["cache", "jobs"]
