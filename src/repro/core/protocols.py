@@ -43,6 +43,7 @@ import abc
 
 import numpy as np
 
+from repro.core.dense import _count_votes
 from repro.core.dynamics import TieRule
 from repro.core.kernels import (
     AdoptionLaw,
@@ -561,27 +562,26 @@ class AsyncSweepBestOfK(Protocol):
         if work is not opinions:
             np.copyto(work, opinions)
         flat = work.reshape(-1)
-        offsets = np.arange(replicas, dtype=np.int64) * n
-        off_col = offsets[:, None]
+        off_col = np.arange(replicas, dtype=np.int64)[:, None] * n
+        vote_dtype = np.uint8 if k < 256 else np.int64
+        half = k // 2  # votes > half <=> strict blue majority
         batch = self.batch if self.batch is not None else max(n // 16, 1)
         done = 0
         while done < n:
             m = min(batch, n - done)
             verts = rng.integers(0, n, size=(replicas, m), dtype=np.int64)
             draws = graph.sample_neighbors(verts.reshape(-1), k, rng)
-            idx = draws.astype(np.int64, copy=False) + np.repeat(offsets, m)[
-                :, None
-            ]
-            votes = flat[idx].sum(axis=1, dtype=np.int64)
+            # Replica r's m·k draws are one contiguous row: the row offset
+            # is an outer operand, never broadcast along the length-k axis.
+            idx = draws.reshape(replicas, m * k)
+            idx += off_col
+            gathered = np.take(flat, idx).reshape(replicas * m, k)
+            votes = np.empty(replicas * m, dtype=vote_dtype)
+            _count_votes(gathered, votes)
             targets = (verts + off_col).reshape(-1)
-            if k % 2 == 1:
-                new_vals = (votes * 2 > k).astype(OPINION_DTYPE)
-            else:
-                new_vals = np.where(
-                    votes * 2 > k,
-                    np.uint8(BLUE),
-                    np.where(votes * 2 < k, np.uint8(RED), flat[targets]),
-                ).astype(OPINION_DTYPE)
+            new_vals = (votes > half).astype(OPINION_DTYPE)
+            if k % 2 == 0:
+                new_vals += (votes == half) * flat[targets]
             flat[targets] = new_vals
             done += m
         if work is not out:

@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.util.validation import check_positive_int
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.graphs.csr import CSRGraph
 
@@ -232,10 +234,11 @@ class Graph(abc.ABC):
         self, vertices: np.ndarray, k: int, replicas: int
     ) -> tuple[np.ndarray, int]:
         """Validate a :meth:`sample_neighbors_batch` call; returns the
-        vertex ids as ``int64`` and the replica count."""
-        replicas = int(replicas)
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
+        vertex ids as ``int64`` and the replica count.
+
+        *k* and *replicas* must be integers >= 1: a bool or a float
+        raises ``TypeError`` rather than being truncated."""
+        replicas = check_positive_int(replicas, "replicas")
         vertices = np.asarray(vertices)
         if vertices.ndim != 1:
             raise ValueError(
@@ -253,8 +256,7 @@ class Graph(abc.ABC):
                 f"vertex ids must lie in [0, {self.num_vertices}), got range "
                 f"[{vertices.min()}, {vertices.max()}]"
             )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        check_positive_int(k, "k")
         return vertices.astype(np.int64, copy=False), replicas
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

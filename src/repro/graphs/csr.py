@@ -3,9 +3,9 @@
 CSR is the cache-friendly layout for the one operation the dynamics needs:
 for each vertex ``v``, draw uniform entries of the contiguous slice
 ``indices[indptr[v]:indptr[v+1]]``.  The whole per-round sampling step is a
-single fancy-indexing expression over an ``(n, k)`` offset matrix — no
-Python-level loop touches a vertex (optimisation guide: *vectorizing for
-loops*, *views not copies*).
+few flat passes and one ``np.take`` gather over an ``(R, n·k)`` offset
+matrix — no Python-level loop touches a vertex (optimisation guide:
+*vectorizing for loops*, *views not copies*).
 """
 
 from __future__ import annotations
@@ -90,12 +90,15 @@ class CSRGraph(Graph):
         u, v = edge_arr[:, 0], edge_arr[:, 1]
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
+        # Counted before the sort: bincount needs no sorted src, and it
+        # rejects negative or non-integer ids first.
         counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst, validate=validate)
+        # Ids now lie in [0, n), so the narrowest key that holds n - 1
+        # sorts to the same stable order (a radix sort up to 16 bits).
+        order = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")
+        return cls(indptr, dst[order], validate=validate)
 
     @classmethod
     def from_networkx(cls, g, *, validate: bool = True) -> "CSRGraph":
@@ -168,22 +171,32 @@ class CSRGraph(Graph):
     ) -> np.ndarray:
         """Batched CSR sampling: one uniform draw serves all replicas.
 
-        The flat position ``indptr[v] + floor(U * deg(v))`` is formed with
-        the CSR storage dtype (``int32`` when the arc count permits), so the
-        batch gather moves half the bytes of the ``int64`` path.
+        The flat position ``indptr[v] + floor(U * deg(v))`` is formed in
+        the CSR storage dtype (``int32`` when the arc count permits), and
+        the ids come back in that dtype.  ``np.take`` converts int32
+        positions to ``intp`` internally, so the narrow dtype halves the
+        position buffer, not the gather's traffic; ``intp`` positions
+        measured no faster (1.1 ms either way per ``(6, 8192, 3)`` chunk
+        of ``random_regular(8192, 128)``, 2-vCPU host).  The degree and
+        row-start operands are repeated once per call to flat
+        ``(|V|·k,)`` arrays, so the scale and the shift each run as one
+        contiguous pass over the ``(R, |V|·k)`` draw instead of one
+        length-``k`` inner loop per (replica, vertex).
         """
         vertices, replicas = self._check_sample_args(vertices, k, replicas)
         pos_dtype = self._indices.dtype
-        deg = self._degrees[vertices].astype(np.float64)
-        starts = self._indptr[vertices].astype(pos_dtype)
-        # In-place scale of the uniform draw: one (R, m, k) float64
+        deg = np.repeat(self._degrees[vertices].astype(np.float64), k)
+        starts = np.repeat(self._indptr[vertices].astype(pos_dtype), k)
+        # In-place scale of the uniform draw: one (R, |V|, k) float64
         # allocation instead of two (the engine's chunk loop calls this
         # per chunk, so the saving is per round, not per ensemble).
         u = rng.random((replicas, vertices.size, k))
-        np.multiply(u, deg[None, :, None], out=u)
+        flat = u.reshape(replicas, -1)
+        flat *= deg
         offsets = u.astype(pos_dtype)
-        offsets += starts[None, :, None]
-        return self._indices[offsets]
+        flat_offsets = offsets.reshape(replicas, -1)
+        flat_offsets += starts
+        return np.take(self._indices, offsets)
 
     def to_csr(self) -> "CSRGraph":
         return self

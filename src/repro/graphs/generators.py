@@ -172,18 +172,28 @@ def random_regular(
 
 
 def _bad_pair_mask(pairs: np.ndarray) -> np.ndarray:
-    """Mark pairs that are self-loops or duplicates of an earlier pair."""
+    """Mark pairs that are self-loops or duplicates of an earlier pair.
+
+    The first occurrence of each unordered pair is the smallest index in
+    its run of equal keys, so an unstable sort serves.  The key
+    ``lo·width + hi`` is built in the narrowest unsigned dtype that holds
+    ``width² - 1``, which never overflows.
+    """
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    self_loop = lo == hi
-    key = lo * (pairs.max() + 2) + hi
-    order = np.argsort(key, kind="stable")
+    width = int(pairs.max()) + 1
+    key = lo.astype(np.min_scalar_type(width * width - 1))
+    key *= width
+    key += hi.astype(key.dtype)
+    order = np.argsort(key)
     sorted_key = key[order]
-    dup_sorted = np.zeros(pairs.shape[0], dtype=bool)
-    dup_sorted[1:] = sorted_key[1:] == sorted_key[:-1]
-    dup = np.zeros(pairs.shape[0], dtype=bool)
-    dup[order] = dup_sorted
-    return self_loop | dup
+    run_starts = np.flatnonzero(
+        np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
+    )
+    bad = np.ones(pairs.shape[0], dtype=bool)
+    bad[np.minimum.reduceat(order, run_starts)] = False
+    bad |= lo == hi
+    return bad
 
 
 def powerlaw_degree_graph(

@@ -88,13 +88,16 @@ class CompleteGraph(Graph):
 
         One ``integers`` draw of shape ``(R, m, k)`` plus the shift — no
         per-replica work at all, and ``int32`` ids whenever ``n < 2**31``.
+        The shift compares against the vertex ids repeated to one flat
+        ``(m·k,)`` operand, a contiguous pass over the ``(R, m·k)`` draw.
         """
         vertices, replicas = self._check_sample_args(vertices, k, replicas)
         dtype = self.index_dtype
         draws = rng.integers(
             0, self._n - 1, size=(replicas, vertices.size, k), dtype=dtype
         )
-        draws += draws >= vertices[None, :, None]
+        flat = draws.reshape(replicas, -1)
+        flat += flat >= np.repeat(vertices.astype(dtype), k)
         return draws
 
     def to_csr(self) -> CSRGraph:
