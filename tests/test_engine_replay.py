@@ -194,6 +194,41 @@ CASES = {
         protocol=ZealotBestOfK(20), seed=44,
         initializer=lambda n, g: g.random(n) < 0.3, max_steps=400,
     ),
+    # Kernel rounds the cases above miss: even-k KEEP_SELF (the own
+    # colour enters the law), the noisy law, the Gaussian regime of a
+    # multipartite round, the bridge's unsorted slot order under
+    # projection, and a pinned bridge endpoint.
+    "chain_multipartite_k4_keep_self": lambda: run_ensemble(
+        CompleteMultipartiteGraph([40, 60, 80]), replicas=24, k=4,
+        tie_rule=TieRule.KEEP_SELF, seed=47, delta=0.1, max_steps=400,
+    ),
+    "chain_bridge_k4_keep_self": lambda: run_ensemble(
+        two_clique_bridge(30, bridges=2), replicas=24, k=4,
+        tie_rule=TieRule.KEEP_SELF, seed=48, delta=0.1, max_steps=400,
+    ),
+    "noisy_chain_multipartite": lambda: run_ensemble(
+        CompleteMultipartiteGraph([40, 60, 80]), replicas=16,
+        protocol=NoisyBestOfK(0.2), seed=49, delta=0.1, max_steps=60,
+    ),
+    "noisy_chain_bridge": lambda: run_ensemble(
+        two_clique_bridge(30, bridges=2), replicas=16,
+        protocol=NoisyBestOfK(0.2), seed=55, delta=0.1, max_steps=60,
+    ),
+    "chain_multipartite_gaussian": lambda: run_ensemble(
+        CompleteMultipartiteGraph([30, 50, 3 * 10**9]), replicas=32, k=3,
+        seed=56, delta=0.05, max_steps=400,
+    ),
+    "chain_bridge3_initial_opinions": lambda: run_ensemble(
+        two_clique_bridge(20, bridges=3), replicas=16, k=3, seed=57,
+        initial_opinions=(
+            np.random.default_rng(4).random((16, 40)) < 0.45
+        ).astype(np.uint8),
+        max_steps=400,
+    ),
+    "zealot_chain_bridge_endpoint": lambda: run_ensemble(
+        two_clique_bridge(30, bridges=2), replicas=32,
+        protocol=ZealotBestOfK(1), seed=58, delta=0.1, max_steps=400,
+    ),
     "dense_blue_counts": lambda: run_ensemble(
         _er(), replicas=16, k=3, seed=45, initial_blue_counts=110,
         max_steps=400, keep_final=True,
@@ -434,6 +469,13 @@ RECORDED: dict[str, dict[str, str]] = {
         "trajectories": "b2e97ccd46c6f181",
         "final_opinions": "3f88af7b309d51f0",
     },
+    "chain_bridge3_initial_opinions": {
+        "steps": "d3068f8a38b56169",
+        "winners": "1aea06d300d0d155",
+        "converged": "72ba86f818ec16b3",
+        "final_totals": "aab6aa3c0c50f584",
+        "trajectories": "0faa9b8a795cf1d0",
+    },
     "chain_bridge_blue_counts": {
         "steps": "33989f2121027bc3",
         "winners": "bdda80a92a17dd0e",
@@ -447,6 +489,13 @@ RECORDED: dict[str, dict[str, str]] = {
         "converged": "8602178174154a00",
         "final_totals": "e6d6c9442aed72d4",
         "trajectories": "5fd546a137c67f41",
+    },
+    "chain_bridge_k4_keep_self": {
+        "steps": "3387eff85f09431a",
+        "winners": "24e070280daba1cd",
+        "converged": "13b4359136fd1067",
+        "final_totals": "1682581158b18385",
+        "trajectories": "0454bb3205a9d0aa",
     },
     "chain_complete": {
         "steps": "e4da58bd3562f981",
@@ -496,6 +545,20 @@ RECORDED: dict[str, dict[str, str]] = {
         "converged": "2ff7c0f09ce02eae",
         "final_totals": "35b70ecb40c626e3",
         "trajectories": "11e9f2cdf756b74d",
+    },
+    "chain_multipartite_gaussian": {
+        "steps": "5577e6c3441f6208",
+        "winners": "fb3cde0f482857b5",
+        "converged": "d8e470d933ad7872",
+        "final_totals": "335e967d554dd2a7",
+        "trajectories": "649333d4d14db7c8",
+    },
+    "chain_multipartite_k4_keep_self": {
+        "steps": "df1a31b24eb87b47",
+        "winners": "04261f57ef08aaa3",
+        "converged": "82ccef8b640b3be6",
+        "final_totals": "3eaee4bd1f2bc061",
+        "trajectories": "11b7d65423c7b05f",
     },
     "dense_bipartite_async": {
         "steps": "773f562abbf45409",
@@ -632,12 +695,26 @@ RECORDED: dict[str, dict[str, str]] = {
         "final_totals": "cdfe3ecddd6a7219",
         "trajectories": "d725c4a50e66c815",
     },
+    "noisy_chain_bridge": {
+        "steps": "123ce03079a18035",
+        "winners": "0a7d6f0b2b940b2a",
+        "converged": "b3268798d2f29bf3",
+        "final_totals": "0669739d124a4e0c",
+        "trajectories": "0288dad82091d801",
+    },
     "noisy_chain_fixed_rounds": {
         "steps": "123ce03079a18035",
         "winners": "0a7d6f0b2b940b2a",
         "converged": "b3268798d2f29bf3",
         "final_totals": "c735cbc2796a8b05",
         "trajectories": "eefd31b3233adfb6",
+    },
+    "noisy_chain_multipartite": {
+        "steps": "123ce03079a18035",
+        "winners": "0a7d6f0b2b940b2a",
+        "converged": "b3268798d2f29bf3",
+        "final_totals": "2dc1e750310106f5",
+        "trajectories": "bd03b9ce69bc46de",
     },
     "noisy_dense_fixed_rounds": {
         "steps": "09b276546f9dfd18",
@@ -701,6 +778,13 @@ RECORDED: dict[str, dict[str, str]] = {
         "converged": "6c68e615b2772974",
         "final_totals": "c85576943595d8bc",
         "trajectories": "751a3e8fc43dd863",
+    },
+    "zealot_chain_bridge_endpoint": {
+        "steps": "1dc5ee6547381c16",
+        "winners": "0012145c7c860887",
+        "converged": "66356c2d346cb389",
+        "final_totals": "3dcdaf0b05dc572a",
+        "trajectories": "2572720c3271a7ab",
     },
     "zealot_chain_complete": {
         "steps": "a2004bdac355e501",
