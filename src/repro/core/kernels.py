@@ -1,21 +1,21 @@
-"""Exact count-chain kernels for exchangeable-part hosts.
+"""Exact count-chain kernels for hosts built from exchangeable slots.
 
 PR 1 special-cased ``K_n``: conditioned on the blue count, every vertex
 updates independently with a law that depends only on its colour, so one
 Best-of-k round of ``R`` replicas is a handful of vectorised binomial
 draws — O(1) work per replica per round instead of O(n·k) memory
-traffic.  This module generalises that observation into a host-generic
-protocol (DESIGN.md §2.5):
+traffic.  :class:`CountChainKernel` generalises that observation to any
+host whose vertices split into **slots**, where a vertex of slot ``i``
+sees every vertex of the slots ``adjacency[i]`` marks, minus itself
+(DESIGN.md §2.5).  The future law of the per-slot blue counts then
+depends on the configuration only through those counts.  Three layouts
+ship:
 
-* a host whose vertex set splits into **exchangeable parts** (every
-  vertex of a part sees the same neighbourhood *as a multiset of
-  parts*) admits an exact per-part count chain — the future law of the
-  per-part blue counts depends on the configuration only through those
-  counts;
-* a host that is exchangeable *up to a few special vertices* (the
-  two-clique bridge: two cliques are exchangeable, the ``2·bridges``
-  bridge endpoints are not) tracks the special vertices explicitly
-  alongside the part chains — still exact, still O(parts) per round.
+* ``K_n`` — one slot that sees itself;
+* a complete multipartite host — one slot per part, each seeing all the
+  others;
+* the two-clique bridge — two clique interiors plus ``2·bridges``
+  size-1 endpoint slots, each endpoint also seeing its partner.
 
 Protocol-supplied transitions
 -----------------------------
@@ -37,8 +37,8 @@ the plain Best-of-k adoption law: each ``step`` accepts
 State contract
 --------------
 A kernel's ensemble state is one ``(R, num_slots)`` ``int64`` matrix.
-Each column is either a part's blue count or one explicit vertex's
-colour (0/1), so
+Each column is a slot's blue count (a size-1 slot's is one vertex's
+colour), so
 
 * the blue **total** of replica ``r`` is ``state[r].sum()`` (absorption
   is ``total in {0, n}``), and
@@ -350,52 +350,8 @@ class NoisyLaw(MajorityLaw):
         return (1.0 - self.eta) * super().adopt(p, own) + self.eta / 2.0
 
 
-def count_chain_step(
-    blue_counts: np.ndarray,
-    n: int,
-    k: int,
-    rng: np.random.Generator,
-    *,
-    tie_rule: TieRule = TieRule.KEEP_SELF,
-    transition: AdoptionLaw | None = None,
-    pinned: int = 0,
-) -> np.ndarray:
-    """One exact Best-of-k round of the ``K_n`` blue-count chain.
-
-    Conditioned on the current count ``B``, every blue vertex samples blue
-    with probability ``(B−1)/(n−1)`` and every red vertex with ``B/(n−1)``
-    (with-replacement draws from the other ``n−1`` vertices), and all
-    vertices update independently — so the next count is exactly
-
-        ``B' = Bin(B, q_blue) + Bin(n−B, q_red)``
-
-    with ``q`` the majority probabilities of
-    :func:`majority_win_probability`.  Vectorised over a replica axis:
-    *blue_counts* is ``(R,)`` and one call advances every replica.  Above
-    the :data:`GAUSSIAN_REGIME_THRESHOLD` the binomials come from
-    :func:`binomial_draw`'s Gaussian regime, so the chain keeps running at
-    ``n`` far beyond 2³¹.
-
-    *transition* swaps the adoption law (default :class:`MajorityLaw` —
-    draw-for-draw the historical behaviour); *pinned* freezes that many
-    blue vertices (zealots) out of the update while keeping them visible
-    to everyone's samples.
-    """
-    law = transition if transition is not None else MajorityLaw(k, tie_rule)
-    B = np.asarray(blue_counts, dtype=np.int64)
-    p_blue = (B - 1) / (n - 1)
-    p_red = B / (n - 1)
-    q_blue = law.adopt(p_blue, BLUE)
-    q_red = law.adopt(p_red, RED)
-    return (
-        pinned
-        + binomial_draw(rng, B - pinned, q_blue)
-        + binomial_draw(rng, n - B, q_red)
-    )
-
-
 # ----------------------------------------------------------------------
-# The kernel protocol
+# The slot-adjacency kernel
 # ----------------------------------------------------------------------
 
 
@@ -412,13 +368,22 @@ def _broadcast_counts(blue_counts, replicas: int, n: int) -> np.ndarray:
     return counts
 
 
-class CountChainKernel(abc.ABC):
-    """Exact O(slots)-per-round ensemble chain of an exchangeable host.
+class CountChainKernel:
+    """Exact O(slots)-per-round ensemble chain of a host built from slots.
 
-    Subclasses describe *which* conditional law the host factorises
-    under; the engine (:func:`repro.core.ensemble.run_ensemble`) owns the
-    generic loop.  See the module docstring for the state contract: an
-    ``(R, num_slots)`` ``int64`` matrix whose row sums are blue totals.
+    The vertices split into ``num_slots`` slots, each a contiguous run of
+    ``slot_sizes[i]`` ids from ``slot_starts[i]`` (slots may be listed in
+    any order).  A vertex of slot ``i`` sees every vertex of slot ``j``
+    when ``adjacency[i, j] = 1``, minus itself when ``self_seen[i] = 1``,
+    and nothing else; its degree is ``(adjacency · slot_sizes)_i −
+    self_seen_i``.  Conditioned on the per-slot blue counts ``B``, each of
+    its draws is blue with probability
+    ``((adjacency · B)_i − self_seen_i · own)/deg_i``, where ``own`` is
+    the vertex's colour — the same for every vertex of the slot up to
+    that colour — so one
+    round is two binomials per slot (:meth:`step`).  The engine
+    (:func:`repro.core.ensemble.run_ensemble`) owns the generic loop; see
+    the module docstring for the state contract.
 
     The chain is exact for **any** initial placement: conditioned on the
     slot values, the host's one-round update law does not depend on
@@ -426,28 +391,20 @@ class CountChainKernel(abc.ABC):
     opinion matrix through :meth:`state_from_opinions` loses nothing.
     """
 
-    n: int
-    """Number of vertices of the host."""
-
-    @property
-    @abc.abstractmethod
-    def num_slots(self) -> int:
-        """Columns of the state matrix (parts + explicit vertices)."""
-
-    @property
-    @abc.abstractmethod
-    def slot_sizes(self) -> np.ndarray:
-        """``(num_slots,)`` vertex counts per slot (1 for explicit slots)."""
-
-    @property
-    @abc.abstractmethod
-    def slot_starts(self) -> np.ndarray:
-        """``(num_slots,)`` first vertex id of each slot.
-
-        Every slot is a contiguous run of vertex ids, ``slot_sizes``
-        long, which is what gives :meth:`first_vertex_counts` its
-        closed form.
-        """
+    def __init__(self, slot_sizes, slot_starts, adjacency, self_seen) -> None:
+        self.slot_sizes = np.asarray(slot_sizes, dtype=np.int64)
+        self.slot_starts = np.asarray(slot_starts, dtype=np.int64)
+        self.adjacency = np.asarray(adjacency, dtype=np.int64)
+        self.self_seen = np.asarray(self_seen, dtype=np.int64)
+        self.num_slots = int(self.slot_sizes.size)
+        self.n = int(self.slot_sizes.sum())
+        self.degrees = self.adjacency @ self.slot_sizes - self.self_seen
+        order = np.argsort(self.slot_starts, kind="stable")
+        sizes = self.slot_sizes[order]
+        if not np.array_equal(self.slot_starts[order], np.cumsum(sizes) - sizes):
+            raise ValueError("slots must tile the vertex ids 0 .. n - 1")
+        # Non-empty slots in id order: the runs state_from_opinions sums.
+        self._runs = order[sizes > 0]
 
     def first_vertex_counts(self, z: int) -> np.ndarray:
         """Per-slot counts of the vertices ``0 .. z − 1`` in O(slots).
@@ -457,67 +414,6 @@ class CountChainKernel(abc.ABC):
         building an ``n``-long indicator.
         """
         return np.clip(z - self.slot_starts, 0, self.slot_sizes)
-
-    @abc.abstractmethod
-    def initial_state(
-        self,
-        replicas: int,
-        init_ss,
-        *,
-        delta: float | None = None,
-        blue_counts: np.ndarray | int | None = None,
-        pinned: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``(R, num_slots)`` initial state without materialising opinions.
-
-        Exactly one of *delta* (the paper's i.i.d. law — each slot count
-        is an independent binomial) and *blue_counts* (an exact total,
-        split across slots by the uniform-placement hypergeometric law)
-        is given.  Replica ``i`` draws from stream ``i`` of
-        ``spawn_generators(init_ss, replicas)`` — the same stream layout
-        the dense path's per-replica initialisers consume — read through
-        :func:`~repro.util.rng.replica_streams`, which derives all the
-        streams in one numpy pass but leaves *init_ss*'s spawn counter
-        where it was: pass a seed sequence that nothing else spawns from
-        (the engine hands each call's own init stream).  On the δ route
-        the binomial regime split is made once for all replicas.
-
-        *pinned* (per-slot pinned-blue counts) reproduces the zealot
-        convention "draw the configuration, then force the pinned
-        vertices BLUE": free vertices keep their drawn law, pinned mass
-        is added on top.
-        """
-
-    @abc.abstractmethod
-    def state_from_opinions(self, opinions: np.ndarray) -> np.ndarray:
-        """Project an explicit ``(R, n)`` opinion matrix onto slot counts."""
-
-    @abc.abstractmethod
-    def step(
-        self,
-        state: np.ndarray,
-        k: int,
-        rng: np.random.Generator,
-        *,
-        tie_rule: TieRule = TieRule.KEEP_SELF,
-        transition: AdoptionLaw | None = None,
-        pinned: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """One synchronous round for every replica (new array).
-
-        *transition* supplies the adoption law (default
-        :class:`MajorityLaw` built from ``k``/``tie_rule`` — the
-        historical Best-of-k behaviour, draw-for-draw); *pinned* holds
-        per-slot pinned-blue counts excluded from the update.
-        """
-
-    def blue_totals(self, state: np.ndarray) -> np.ndarray:
-        """Per-replica blue totals — the absorption/trajectory statistic."""
-        return state.sum(axis=1)
-
-    # ------------------------------------------------------------------
-    # Shared pinned-slot helpers
-    # ------------------------------------------------------------------
 
     def check_pinned(self, pinned: np.ndarray | None) -> np.ndarray | None:
         """Validate a per-slot pinned-blue vector against the layout."""
@@ -536,22 +432,46 @@ class CountChainKernel(abc.ABC):
             )
         return pinned
 
-    def _slot_initial_state(
-        self, replicas, init_ss, *, delta, blue_counts, pinned
+    def initial_state(
+        self,
+        replicas: int,
+        init_ss,
+        *,
+        delta: float | None = None,
+        blue_counts: np.ndarray | int | None = None,
+        pinned: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Initial state drawn slot by slot, for any slot layout.
+        """``(R, num_slots)`` initial state without materialising opinions.
 
-        i.i.d. *delta*: slot ``j`` draws ``Bin(size_j − pinned_j, 1/2 − δ)``.
-        Exact *blue_counts*: the count is placed uniformly over all ``n``
-        vertices by a multivariate hypergeometric over the slot sizes.
+        Exactly one of *delta* and *blue_counts* is given:
 
-        *pinned* reproduces "draw the configuration, then force the
-        pinned vertices BLUE": free vertices keep their drawn law and
-        pinned mass is added on top; under *blue_counts*, blues landing
-        on pinned positions are absorbed by them — the hypergeometric
-        splits over the interleaved ``(pinned, free)`` sub-slot sizes.
+        * i.i.d. *delta* (the paper's law): slot ``j`` draws
+          ``Bin(size_j − pinned_j, 1/2 − δ)``, the regime split made once
+          for all replicas;
+        * an exact *blue_counts* total, placed uniformly over all ``n``
+          vertices by a multivariate hypergeometric over the slot sizes.
+          A one-slot host without pins takes the count as its state, so
+          ``K_n`` needs no draw at all.
+
+        Replica ``i`` draws from stream ``i`` of
+        ``spawn_generators(init_ss, replicas)`` — the same stream layout
+        the dense path's per-replica initialisers consume — read through
+        :func:`~repro.util.rng.replica_streams`, which derives all the
+        streams in one numpy pass but leaves *init_ss*'s spawn counter
+        where it was: pass a seed sequence that nothing else spawns from
+        (the engine hands each call's own init stream).
+
+        *pinned* (per-slot pinned-blue counts) reproduces "draw the
+        configuration, then force the pinned vertices BLUE": free vertices
+        keep their drawn law and pinned mass is added on top; under
+        *blue_counts*, blues landing on pinned positions are absorbed by
+        them — the hypergeometric splits over the interleaved
+        ``(pinned, free)`` sub-slot sizes.
         """
         pinned = self.check_pinned(pinned)
+        unpinned = pinned is None or not pinned.any()
+        if blue_counts is not None and unpinned and self.num_slots == 1:
+            return _broadcast_counts(blue_counts, replicas, self.n)[:, None]
         if blue_counts is not None and self.n >= 10**9:
             raise ValueError(
                 f"an exact blue-count start needs n < 10^9 on this host "
@@ -559,7 +479,7 @@ class CountChainKernel(abc.ABC):
                 "cannot split more; use the i.i.d. delta start instead"
             )
         sizes = self.slot_sizes
-        if pinned is None or not pinned.any():
+        if unpinned:
             pinned, free, split, keep = 0, sizes, sizes, slice(None)
         else:
             free = sizes - pinned
@@ -578,74 +498,85 @@ class CountChainKernel(abc.ABC):
             )[keep]
         return pinned + state
 
+    def state_from_opinions(self, opinions: np.ndarray) -> np.ndarray:
+        """Project an explicit ``(R, n)`` 0/1 opinion matrix onto slot
+        counts."""
+        opinions = np.asarray(opinions)
+        if opinions.size and (opinions.min() < 0 or opinions.max() > 1):
+            raise ValueError("count-chain opinions must be 0 (red) or 1 (blue)")
+        out = np.zeros((opinions.shape[0], self.num_slots), dtype=np.int64)
+        out[:, self._runs] = np.add.reduceat(
+            opinions, self.slot_starts[self._runs], axis=1, dtype=np.int64
+        )
+        return out
+
+    def adoption(
+        self, state: np.ndarray, law: AdoptionLaw
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(q_blue, q_red)``: each slot's blue-adoption probability for
+        a blue and for a red vertex, ``(R, num_slots)`` each.
+
+        A slot's probabilities can leave ``[0, 1]`` only when the colour
+        class they serve is empty (its binomial count is 0);
+        :func:`majority_win_probability` clips, so those draws are vacuous.
+        """
+        visible = state @ self.adjacency.T
+        q_blue = law.adopt((visible - self.self_seen) / self.degrees, BLUE)
+        q_red = law.adopt(visible / self.degrees, RED)
+        return q_blue, q_red
+
+    def step(
+        self,
+        state: np.ndarray,
+        k: int,
+        rng: np.random.Generator,
+        *,
+        tie_rule: TieRule = TieRule.KEEP_SELF,
+        transition: AdoptionLaw | None = None,
+        pinned: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """One synchronous round for every replica (new array): a blue
+        binomial over the ``(R, slots)`` counts, then a red one.
+
+        *transition* supplies the adoption law (default
+        :class:`MajorityLaw` built from ``k``/``tie_rule`` — the
+        historical Best-of-k behaviour, draw-for-draw); *pinned* holds
+        per-slot pinned-blue counts excluded from the update.
+        """
+        law = transition if transition is not None else MajorityLaw(k, tie_rule)
+        pinned = self.check_pinned(pinned)
+        frozen = 0 if pinned is None else pinned
+        q_blue, q_red = self.adoption(state, law)
+        return (
+            frozen
+            + binomial_draw(rng, state - frozen, q_blue)
+            + binomial_draw(rng, self.slot_sizes - state, q_red)
+        )
+
+    def blue_totals(self, state: np.ndarray) -> np.ndarray:
+        """Per-replica blue totals — the absorption/trajectory statistic."""
+        return state.sum(axis=1)
+
 
 class CompleteKernel(CountChainKernel):
-    """The ``K_n`` blue-count chain as a one-slot kernel.
+    """``K_n``: one slot that sees itself minus the vertex.
 
-    Wraps :func:`count_chain_step` (PR 1's fast path) so the complete
-    graph rides the same generic engine loop as every other kernel;
-    draw-for-draw identical to the pre-kernel ``method="count_chain"``
-    implementation, so seeded ``K_n`` results are unchanged.
+    Draw-for-draw the PR 1 blue-count chain: conditioned on the count
+    ``B``, a blue vertex samples blue with probability ``(B−1)/(n−1)`` and
+    a red one with ``B/(n−1)``, so ``B' = Bin(B, q_blue) + Bin(n−B,
+    q_red)``.
     """
 
     def __init__(self, n: int) -> None:
         n = int(n)
         if n < 2:
             raise ValueError(f"K_n kernel needs n >= 2, got {n}")
-        self.n = n
-
-    @property
-    def num_slots(self) -> int:
-        return 1
-
-    @property
-    def slot_sizes(self) -> np.ndarray:
-        return np.array([self.n], dtype=np.int64)
-
-    @property
-    def slot_starts(self) -> np.ndarray:
-        return np.zeros(1, dtype=np.int64)
-
-    def initial_state(
-        self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None
-    ):
-        # B_0 ~ Bin(n, 1/2 − δ) is the exact count law of random_opinions,
-        # drawn directly so n = 10^10 replicas never allocate O(n).  An
-        # unpinned exact count needs no draw at all.
-        pinned = self.check_pinned(pinned)
-        if blue_counts is not None and (pinned is None or not pinned.any()):
-            return _broadcast_counts(blue_counts, replicas, self.n)[:, None]
-        return self._slot_initial_state(
-            replicas, init_ss, delta=delta, blue_counts=blue_counts,
-            pinned=pinned,
-        )
-
-    def state_from_opinions(self, opinions):
-        return np.count_nonzero(opinions, axis=1).astype(np.int64)[:, None]
-
-    def step(
-        self, state, k, rng, *, tie_rule=TieRule.KEEP_SELF, transition=None,
-        pinned=None,
-    ):
-        pinned = self.check_pinned(pinned)
-        return count_chain_step(
-            state[:, 0], self.n, k, rng, tie_rule=tie_rule,
-            transition=transition,
-            pinned=0 if pinned is None else int(pinned[0]),
-        )[:, None]
+        super().__init__([n], [0], [[1]], [1])
 
 
 class MultipartiteKernel(CountChainKernel):
-    """Per-part chains of a complete multipartite host (parts = slots).
-
-    A vertex of part ``i`` samples uniformly from the ``n − s_i``
-    vertices *outside* its part, so conditioned on the per-part blue
-    counts ``B``, every draw is blue with probability
-    ``(ΣB − B_i)/(n − s_i)`` — the same for every vertex of the part
-    (its own colour enters only through even-``k`` KEEP_SELF ties).
-    One round is two vectorised binomials over the ``(R, parts)`` count
-    matrix; the complete bipartite graph is the two-part special case.
-    """
+    """A complete multipartite host: one slot per part, each seeing all
+    the others (the complete bipartite graph is the two-part case)."""
 
     def __init__(self, sizes) -> None:
         sizes = np.asarray(sizes, dtype=np.int64)
@@ -653,67 +584,22 @@ class MultipartiteKernel(CountChainKernel):
             raise ValueError("multipartite kernel needs at least two parts")
         if np.any(sizes < 1):
             raise ValueError(f"part sizes must be >= 1, got {sizes.tolist()}")
-        self.sizes = sizes
-        self.n = int(sizes.sum())
-        self._offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    @property
-    def num_slots(self) -> int:
-        return int(self.sizes.size)
-
-    @property
-    def slot_sizes(self) -> np.ndarray:
-        return self.sizes
-
-    @property
-    def slot_starts(self) -> np.ndarray:
-        return self._offsets[:-1]
-
-    def initial_state(
-        self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None
-    ):
-        return self._slot_initial_state(
-            replicas, init_ss, delta=delta, blue_counts=blue_counts,
-            pinned=pinned,
-        )
-
-    def state_from_opinions(self, opinions):
-        return np.add.reduceat(
-            opinions, self._offsets[:-1], axis=1, dtype=np.int64
-        )
-
-    def step(
-        self, state, k, rng, *, tie_rule=TieRule.KEEP_SELF, transition=None,
-        pinned=None,
-    ):
-        law = transition if transition is not None else MajorityLaw(k, tie_rule)
-        pinned = self.check_pinned(pinned)
-        frozen = 0 if pinned is None else pinned[None, :]
-        total = state.sum(axis=1, keepdims=True)
-        p = (total - state) / (self.n - self.sizes)[None, :].astype(np.float64)
-        q_blue = law.adopt(p, BLUE)
-        q_red = law.adopt(p, RED) if law.own_matters else q_blue
-        return (
-            frozen
-            + binomial_draw(rng, state - frozen, q_blue)
-            + binomial_draw(rng, self.sizes[None, :] - state, q_red)
+        parts = sizes.size
+        super().__init__(
+            sizes, np.cumsum(sizes) - sizes,
+            1 - np.eye(parts, dtype=np.int64), np.zeros(parts, dtype=np.int64),
         )
 
 
 class TwoCliqueBridgeKernel(CountChainKernel):
-    """Two clique chains plus explicitly simulated bridge vertices.
+    """The E12 host: two cliques of size ``half`` whose first *bridges*
+    vertices are pairwise joined
+    (:func:`repro.graphs.generators.two_clique_bridge`).
 
-    The E12 host (:func:`repro.graphs.generators.two_clique_bridge`):
-    two cliques of size ``half`` whose first *bridges* vertices are
-    pairwise joined.  Non-bridge vertices of a clique are exchangeable
-    (each sees its clique minus itself); the ``2·bridges`` bridge
-    endpoints each additionally see one *specific* vertex of the other
-    clique, so they are tracked as explicit 0/1 slots and updated with
-    per-replica Bernoulli draws — still exact, still O(1) slots per
-    round for the standard ``bridges = 1`` host.
-
-    Slot layout: ``[left non-bridge count, right non-bridge count,
-    left bridge colours (bridges), right bridge colours (bridges)]``.
+    Slot layout: ``[left non-bridge, right non-bridge, left endpoints
+    (bridges), right endpoints (bridges)]``.  Every slot sees its own
+    clique minus the vertex; an endpoint also sees its partner, so the
+    ``2·bridges`` endpoints are size-1 slots holding one vertex's colour.
     """
 
     def __init__(self, half: int, bridges: int = 1) -> None:
@@ -725,94 +611,66 @@ class TwoCliqueBridgeKernel(CountChainKernel):
             raise ValueError(
                 f"bridges must lie in [1, {half}], got {bridges}"
             )
-        self.half = half
-        self.bridges = bridges
-        self.n = 2 * half
-
-    @property
-    def num_slots(self) -> int:
-        return 2 + 2 * self.bridges
-
-    @property
-    def slot_sizes(self) -> np.ndarray:
-        nb = self.half - self.bridges
-        return np.array(
-            [nb, nb] + [1] * (2 * self.bridges), dtype=np.int64
+        ends = np.arange(bridges, dtype=np.int64)
+        side = np.repeat([0, 1, 0, 1], [1, 1, bridges, bridges])
+        adjacency = (side[:, None] == side[None, :]).astype(np.int64)
+        adjacency[2 + ends, 2 + bridges + ends] = 1
+        adjacency[2 + bridges + ends, 2 + ends] = 1
+        super().__init__(
+            [half - bridges] * 2 + [1] * (2 * bridges),
+            np.concatenate([[bridges, half + bridges], ends, half + ends]),
+            adjacency, np.ones(2 + 2 * bridges, dtype=np.int64),
         )
-
-    @property
-    def slot_starts(self) -> np.ndarray:
-        br, half = self.bridges, self.half
-        bridge_ids = np.arange(br, dtype=np.int64)
-        return np.concatenate([[br, half + br], bridge_ids, half + bridge_ids])
-
-    def initial_state(
-        self, replicas, init_ss, *, delta=None, blue_counts=None, pinned=None
-    ):
-        return self._slot_initial_state(
-            replicas, init_ss, delta=delta, blue_counts=blue_counts,
-            pinned=pinned,
-        )
-
-    def state_from_opinions(self, opinions):
-        br, half = self.bridges, self.half
-        ops = np.asarray(opinions)
-        out = np.empty((ops.shape[0], self.num_slots), dtype=np.int64)
-        out[:, 0] = ops[:, br:half].sum(axis=1, dtype=np.int64)
-        out[:, 1] = ops[:, half + br :].sum(axis=1, dtype=np.int64)
-        out[:, 2 : 2 + br] = ops[:, :br]
-        out[:, 2 + br :] = ops[:, half : half + br]
-        return out
 
     def step(
         self, state, k, rng, *, tie_rule=TieRule.KEEP_SELF, transition=None,
         pinned=None,
     ):
+        # E12's seeded draw order, not the generic one: each clique's blue
+        # then red binomial, then one uniform per replica for each
+        # unpinned endpoint, in slot order.
         law = transition if transition is not None else MajorityLaw(k, tie_rule)
         pinned = self.check_pinned(pinned)
-        br, half = self.bridges, self.half
-        replicas = state.shape[0]
-        nb_size = half - br
-        bridge_cols = state[:, 2:]
-        totals = (
-            state[:, 0] + bridge_cols[:, :br].sum(axis=1),
-            state[:, 1] + bridge_cols[:, br:].sum(axis=1),
-        )
+        if pinned is None:
+            pinned = np.zeros(self.num_slots, dtype=np.int64)
+        q_blue, q_red = self.adoption(state, law)
         out = np.empty_like(state)
-        # Non-bridge vertices: clique minus self, degree half − 1.  The
-        # vectorised probabilities can leave [0, 1] exactly when the
-        # corresponding colour class is empty (its binomial count is 0);
-        # majority_win_probability clips, so those draws are vacuous.
         for col in (0, 1):
-            frozen = 0 if pinned is None else int(pinned[col])
-            blue_nb = state[:, col]
-            p_blue = (totals[col] - 1) / (half - 1)
-            p_red = totals[col] / (half - 1)
-            q_b = law.adopt(p_blue, BLUE)
-            q_r = law.adopt(p_red, RED)
+            blue = state[:, col]
             out[:, col] = (
-                frozen
-                + binomial_draw(rng, blue_nb - frozen, q_b)
-                + binomial_draw(rng, nb_size - blue_nb, q_r)
+                pinned[col]
+                + binomial_draw(rng, blue - pinned[col], q_blue[:, col])
+                + binomial_draw(rng, self.slot_sizes[col] - blue, q_red[:, col])
             )
-        # Bridge endpoints: clique minus self plus the partner endpoint of
-        # the other clique, degree half.  Fixed slot order keeps the
-        # stream deterministic.
-        for side in (0, 1):
-            for j in range(br):
-                own_col = 2 + side * br + j
-                partner_col = 2 + (1 - side) * br + j
-                if pinned is not None and pinned[own_col]:
-                    out[:, own_col] = 1
-                    continue
-                own = state[:, own_col]
-                partner = state[:, partner_col]
-                p_if_blue = (totals[side] - 1 + partner) / half
-                p_if_red = (totals[side] + partner) / half
-                q = np.where(
-                    own == BLUE,
-                    law.adopt(p_if_blue, BLUE),
-                    law.adopt(p_if_red, RED),
-                )
-                out[:, own_col] = rng.random(replicas) < q
+        for col in range(2, self.num_slots):
+            q = np.where(state[:, col] == BLUE, q_blue[:, col], q_red[:, col])
+            out[:, col] = 1 if pinned[col] else rng.random(len(state)) < q
         return out
+
+
+def count_chain_step(
+    blue_counts: np.ndarray,
+    n: int,
+    k: int,
+    rng: np.random.Generator,
+    *,
+    tie_rule: TieRule = TieRule.KEEP_SELF,
+    transition: AdoptionLaw | None = None,
+    pinned: int = 0,
+) -> np.ndarray:
+    """One exact Best-of-k round of the ``K_n`` blue-count chain.
+
+    :meth:`CompleteKernel.step` over a replica axis: *blue_counts* is
+    ``(R,)`` and one call advances every replica.  Above the
+    :data:`GAUSSIAN_REGIME_THRESHOLD` the binomials come from
+    :func:`binomial_draw`'s Gaussian regime, so the chain keeps running
+    at ``n`` far beyond 2³¹.  *transition* swaps the adoption law
+    (default :class:`MajorityLaw`); *pinned* freezes that many blue
+    vertices (zealots) out of the update while keeping them visible to
+    everyone's samples.
+    """
+    B = np.asarray(blue_counts, dtype=np.int64)
+    return CompleteKernel(n).step(
+        B.reshape(-1, 1), k, rng, tie_rule=tie_rule, transition=transition,
+        pinned=[pinned],
+    ).reshape(B.shape)

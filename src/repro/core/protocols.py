@@ -420,13 +420,6 @@ class ZealotBestOfK(BestOfK):
             )
         return kernel.first_vertex_counts(self.zealots)
 
-    def kernel_step(self, kernel, state, rng):
-        return kernel.step(
-            state, self.k, rng, tie_rule=self.tie_rule,
-            transition=self.adoption_law(),
-            pinned=self.kernel_pinned(kernel),
-        )
-
     def absorbed(self, totals, n, *, state=None, prev=None):
         # Ordinary-vertex unanimity: all blue (total n) or all red
         # (total = pinned mass).

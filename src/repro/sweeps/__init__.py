@@ -55,7 +55,6 @@ from repro.sweeps.runner import (
     execute_point_tracked,
     host_access_counts,
     host_families,
-    point_streams,
 )
 from repro.sweeps.queue import Lease, QueueStats, WorkQueue, queue_key
 from repro.sweeps.scheduler import (
@@ -109,7 +108,6 @@ __all__ = [
     "execute_point_tracked",
     "host_access_counts",
     "host_families",
-    "point_streams",
     "point_from_canonical",
     "Lease",
     "QueueStats",

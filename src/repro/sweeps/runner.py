@@ -36,10 +36,7 @@ A point's ``seed`` tuple is the root entropy of its engine run:
 the rewired ``best_of_k`` experiments always did.  Paired points spawn
 one extra child per component (``spawn_key=(1 + j,)``) for the
 components' dynamics streams, so the paired chains share initial
-configurations but never randomness.  :func:`point_streams` (the
-historical per-trial sibling-stream layout, with ``Point.spawn_base``
-naming a slice offset) remains available for consumers that reproduce
-the pre-Protocol per-trial loops.
+configurations but never randomness.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ from repro.graphs.implicit import (
 )
 from repro.sweeps import hoststore
 from repro.sweeps.spec import HostSpec, Point
-from repro.util.rng import as_generator
 
 __all__ = [
     "build_host",
@@ -80,7 +76,6 @@ __all__ = [
     "execute_point_tracked",
     "host_access_counts",
     "host_families",
-    "point_streams",
 ]
 
 
@@ -184,26 +179,6 @@ def host_access_counts() -> tuple[int, int]:
     """This process's ``(from-scratch builds, shared-store attaches)``."""
     with _HOST_MEMO_LOCK:
         return _HOST_BUILD_COUNT, hoststore.attach_count()
-
-
-def point_streams(point: Point, count: int) -> list[np.random.Generator]:
-    """The point's first *count* sibling random streams.
-
-    Stream ``j`` is ``SeedSequence(point.seed, spawn_key=
-    (point.spawn_base + j,))``, i.e. child ``spawn_base + j`` of the
-    point's root entropy under NumPy's spawn convention — the layout the
-    historical per-trial extension loops consumed (kept for
-    equivalence tests and external consumers; the engine path seeds
-    itself from ``point.seed`` directly).
-    """
-    return [
-        as_generator(
-            np.random.SeedSequence(
-                point.seed, spawn_key=(point.spawn_base + j,)
-            )
-        )
-        for j in range(count)
-    ]
 
 
 def _init_kwargs(point: Point, graph: Graph) -> dict:

@@ -338,16 +338,6 @@ class Point:
     ``label`` is presentation-only and deliberately excluded from the
     canonical form — renaming a point must not invalidate its cache
     entry or change its derived seed.
-
-    ``spawn_base`` offsets the point's random streams: protocols that
-    consume per-trial sibling streams (the extension runners in
-    :mod:`repro.sweeps.runner`) draw stream ``j`` from
-    ``SeedSequence(seed, spawn_key=(spawn_base + j,))``.  A harness
-    whose historical loop carved one shared spawn fan-out into
-    per-point slices (E13's ``spawn_generators(seed, 2·len(etas))``)
-    declares each slice via its offset, keeping the rewired tables
-    byte-identical.  It is part of the canonical content only when
-    non-zero, so pre-existing points keep their keys and derived seeds.
     """
 
     host: HostSpec
@@ -357,15 +347,12 @@ class Point:
     max_steps: int
     seed: tuple[int, ...]
     label: str = ""
-    spawn_base: int = 0
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.spawn_base < 0:
-            raise ValueError(f"spawn_base must be >= 0, got {self.spawn_base}")
         seed = (self.seed,) if isinstance(self.seed, int) else self.seed
         object.__setattr__(self, "seed", tuple(int(s) for s in seed))
 
@@ -373,7 +360,7 @@ class Point:
 def canonical_point(point: Point) -> dict[str, Any]:
     """The content of *point* as a nested, JSON-native dict (no label).
 
-    Optional fields (``eta``, ``zealots``, ``strategy``, ``spawn_base``)
+    Optional fields (``eta``, ``zealots``, ``strategy``, ``threads``)
     appear only when set, so points that predate them canonicalise to
     exactly the bytes they always did — their cache keys and
     grid-derived seeds are stable across this schema's growth.
@@ -407,8 +394,6 @@ def canonical_point(point: Point) -> dict[str, Any]:
         "max_steps": point.max_steps,
         "seed": list(point.seed),
     }
-    if point.spawn_base:
-        content["spawn_base"] = point.spawn_base
     return content
 
 
@@ -446,7 +431,6 @@ def point_from_canonical(
         max_steps=int(content["max_steps"]),
         seed=tuple(content["seed"]),
         label=label,
-        spawn_base=int(content.get("spawn_base", 0)),
     )
 
 

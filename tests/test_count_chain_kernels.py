@@ -28,6 +28,7 @@ from repro.core.dynamics import TieRule
 from repro.core.kernels import (
     GAUSSIAN_REGIME_THRESHOLD,
     CompleteKernel,
+    CountChainKernel,
     MultipartiteKernel,
     TwoCliqueBridgeKernel,
     binomial_draw,
@@ -303,6 +304,50 @@ class TestKernelBookkeeping:
             kernel.state_from_opinions(ops), [[2, 1, 1, 0, 0, 1]]
         )
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            CompleteGraph(9),
+            CompleteBipartiteGraph(3, 5),
+            CompleteMultipartiteGraph([3, 4, 5]),
+            two_clique_bridge(6, bridges=1),
+            two_clique_bridge(6, bridges=3),
+        ],
+        ids=["K9", "K3,5", "K3,4,5", "bridge1", "bridge3"],
+    )
+    def test_layout_matches_host_adjacency(self, graph):
+        """The exactness claim attach_count_chain_kernel leaves to its
+        caller: every vertex sees, slot by slot, what the layout says."""
+        kernel = graph.count_chain_kernel()
+        n = graph.num_vertices
+        assert kernel.n == n
+        slot_of = np.empty(n, dtype=np.int64)
+        for i, (start, size) in enumerate(
+            zip(kernel.slot_starts, kernel.slot_sizes)
+        ):
+            slot_of[start : start + size] = i
+        csr = graph.to_csr()
+        for v in range(n):
+            nbrs = csr.indices[csr.indptr[v] : csr.indptr[v + 1]]
+            seen = np.bincount(slot_of[nbrs], minlength=kernel.num_slots)
+            own = slot_of[v]
+            expected = kernel.adjacency[own] * kernel.slot_sizes
+            expected[own] -= kernel.self_seen[own]
+            np.testing.assert_array_equal(seen, expected, err_msg=f"v={v}")
+            assert kernel.degrees[own] == nbrs.size
+        ops = (np.random.default_rng(5).random((7, n)) < 0.5).astype(np.uint8)
+        sums = np.stack(
+            [ops[:, slot_of == i].sum(axis=1) for i in range(kernel.num_slots)],
+            axis=1,
+        )
+        np.testing.assert_array_equal(kernel.state_from_opinions(ops), sums)
+
+    def test_projection_rejects_non_binary_opinions(self):
+        ops = np.array([2] * 5 + [0] * 5, dtype=np.uint8)
+        for graph in (CompleteGraph(10), CompleteMultipartiteGraph([5, 5])):
+            with pytest.raises(ValueError, match=r"0 \(red\) or 1"):
+                run_ensemble(graph, replicas=2, initial_opinions=ops, seed=1)
+
     def test_bridge_count_split_is_uniform_placement(self):
         kernel = TwoCliqueBridgeKernel(6, bridges=1)
         state = kernel.initial_state(
@@ -367,6 +412,8 @@ class TestKernelBookkeeping:
             MultipartiteKernel([5])
         with pytest.raises(ValueError, match="bridges"):
             TwoCliqueBridgeKernel(4, bridges=5)
+        with pytest.raises(ValueError, match="tile"):
+            CountChainKernel([2, 2], [0, 3], 1 - np.eye(2), [0, 0])
         with pytest.raises(ValueError, match=r"\[0, 24\]"):
             CompleteGraph(24).count_chain_kernel().initial_state(
                 2, np.random.SeedSequence(0), blue_counts=25

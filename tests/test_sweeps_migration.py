@@ -33,7 +33,6 @@ from repro.sweeps import (
     SweepSpec,
     ensure_outcome,
     execute_point,
-    point_streams,
     run_sweep,
     run_sweeps,
 )
@@ -54,7 +53,7 @@ def _point(n=128, delta=0.2, trials=3, seed=(0, 0), label="p"):
     )
 
 
-def _noisy_point(eta=0.2, spawn_base=0):
+def _noisy_point(eta=0.2):
     return Point(
         host=HostSpec.of("complete", n=512),
         protocol=ProtocolSpec.noisy(eta),
@@ -62,7 +61,6 @@ def _noisy_point(eta=0.2, spawn_base=0):
         trials=2,
         max_steps=30,
         seed=(7,),
-        spawn_base=spawn_base,
     )
 
 
@@ -236,33 +234,6 @@ class TestRunSweeps:
 
 
 class TestExtensionPoints:
-    def test_point_streams_match_spawn_layout(self):
-        from repro.util.rng import spawn_generators
-
-        point = _noisy_point(spawn_base=0)
-        ours = point_streams(point, 4)
-        theirs = spawn_generators((7,), 4)
-        for g, h in zip(ours, theirs):
-            np.testing.assert_array_equal(g.random(8), h.random(8))
-
-    def test_spawn_base_selects_sibling_slice(self):
-        from repro.util.rng import spawn_generators
-
-        point = _noisy_point(spawn_base=2)
-        ours = point_streams(point, 2)
-        theirs = spawn_generators((7,), 6)[2:4]
-        for g, h in zip(ours, theirs):
-            np.testing.assert_array_equal(g.random(8), h.random(8))
-
-    def test_spawn_base_changes_canonical_content_only_when_set(self):
-        from repro.sweeps import canonical_point
-
-        base = _noisy_point(spawn_base=0)
-        shifted = _noisy_point(spawn_base=2)
-        assert "spawn_base" not in canonical_point(base)
-        assert canonical_point(shifted)["spawn_base"] == 2
-        assert canonical_point(base) != canonical_point(shifted)
-
     def test_dict_payload_cache_round_trip(self, tmp_path):
         cache = SweepCache(tmp_path)
         point = _noisy_point()
