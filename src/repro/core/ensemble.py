@@ -344,7 +344,8 @@ def run_ensemble(
         )
     init_matrix = _initial_matrix(
         n, replicas, init_ss, delta, initializer, initial_opinions,
-        initial_blue_counts, dtype=protocol.opinion_dtype,
+        initial_blue_counts, colours=protocol.colours,
+        dtype=protocol.opinion_dtype,
     )
     init_matrix = protocol.prepare_state(init_matrix)
     k_eff = int(getattr(protocol, "k", 1))
@@ -375,16 +376,38 @@ def build_initial_matrix(
     Public for paired executions (E14's sync/async comparison): build
     the shared initial configurations once from *seed*'s init stream,
     then hand the same matrix to several ``run_ensemble(protocol=...)``
-    calls via ``initial_opinions``.
+    calls via ``initial_opinions``.  Its codes are checked against the
+    protocol's colours there, not here.
     """
     init_ss = spawn_generators(seed, 1)[0]
     return _initial_matrix(
         n, replicas, init_ss, delta, initializer, None, initial_blue_counts,
-        dtype=dtype,
+        colours=None, dtype=dtype,
     )
 
 
-def _explicit_opinions(initial_opinions, replicas: int, n: int) -> np.ndarray:
+def _check_codes(values: np.ndarray, colours: int | None, what: str) -> np.ndarray:
+    """Reject opinion codes outside ``[0, colours)`` (``None``: unchecked).
+
+    Runs before any cast to the protocol's opinion dtype, where ``-1``
+    or ``256`` would wrap into a valid-looking code.
+    """
+    if colours is not None and values.size:
+        lo, hi = values.min(), values.max()
+        if lo < 0 or hi >= colours:
+            codes = (
+                "0 (red) or 1 (blue)" if colours == 2
+                else f"opinion codes in [0, {colours})"
+            )
+            raise ValueError(
+                f"{what} must be {codes}, got values from {lo} to {hi}"
+            )
+    return values
+
+
+def _explicit_opinions(
+    initial_opinions, replicas: int, n: int, colours: int | None
+) -> np.ndarray:
     """Validate an explicit ``(R, n)`` or shared ``(n,)`` initial matrix."""
     mat = np.asarray(initial_opinions)
     if mat.shape not in ((replicas, n), (n,)):
@@ -392,17 +415,19 @@ def _explicit_opinions(initial_opinions, replicas: int, n: int) -> np.ndarray:
             f"initial_opinions must have shape ({replicas}, {n}) or "
             f"({n},), got {mat.shape}"
         )
-    return mat
+    return _check_codes(mat, colours, "initial_opinions")
 
 
-def _initializer_row(initializer, n: int, gen: np.random.Generator) -> np.ndarray:
+def _initializer_row(
+    initializer, n: int, gen: np.random.Generator, colours: int | None
+) -> np.ndarray:
     """One replica's initializer output, validated to shape ``(n,)``."""
     row = np.asarray(initializer(n, gen))
     if row.shape != (n,):
         raise ValueError(
             f"initializer returned shape {row.shape}, expected ({n},)"
         )
-    return row
+    return _check_codes(row, colours, "initializer rows")
 
 
 def _initial_matrix(
@@ -413,11 +438,17 @@ def _initial_matrix(
     initializer,
     initial_opinions,
     initial_blue_counts,
+    *,
+    colours: int | None,
     dtype=OPINION_DTYPE,
 ) -> np.ndarray:
-    """Materialise the ``(R, n)`` initial opinion matrix."""
+    """Materialise the ``(R, n)`` initial opinion matrix.
+
+    Explicit and initializer opinions must be codes ``0 .. colours - 1``;
+    the ``delta`` and exact-count starts draw 0/1 only.
+    """
     if initial_opinions is not None:
-        mat = _explicit_opinions(initial_opinions, replicas, n)
+        mat = _explicit_opinions(initial_opinions, replicas, n, colours)
         return np.array(
             np.broadcast_to(mat, (replicas, n)), dtype=dtype, order="C"
         )
@@ -428,7 +459,7 @@ def _initial_matrix(
             mat[i] = random_opinions(n, delta, rng=gen)
     elif initializer is not None:
         for i, gen in enumerate(gens):
-            mat[i] = _initializer_row(initializer, n, gen).astype(
+            mat[i] = _initializer_row(initializer, n, gen, colours).astype(
                 dtype, copy=False
             )
     else:
@@ -465,7 +496,7 @@ def _initial_kernel_state(
         )
     n = kernel.n
     if initial_opinions is not None:
-        mat = _explicit_opinions(initial_opinions, replicas, n)
+        mat = _explicit_opinions(initial_opinions, replicas, n, protocol.colours)
         if mat.ndim == 1:
             # Shared row: project once, repeat — never materialise (R, n).
             row = protocol.prepare_state(
@@ -483,10 +514,9 @@ def _initial_kernel_state(
     gens = replica_streams(init_ss, replicas)
     state = np.empty((replicas, kernel.num_slots), dtype=np.int64)
     for i, gen in enumerate(gens):
+        row = _initializer_row(initializer, n, gen, protocol.colours)
         row = protocol.prepare_state(
-            _initializer_row(initializer, n, gen)[None, :].astype(
-                protocol.opinion_dtype, copy=True
-            )
+            row[None, :].astype(protocol.opinion_dtype, copy=True)
         )
         state[i] = kernel.state_from_opinions(row)[0]
     return state

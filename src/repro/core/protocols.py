@@ -83,6 +83,9 @@ class Protocol(abc.ABC):
 
     name: str = "protocol"
     opinion_dtype: np.dtype = OPINION_DTYPE
+    colours: int = 2
+    """Opinion codes are ``0 .. colours - 1``; the engine rejects an
+    explicit or initializer start holding any other value."""
     steps_key: str = "steps"
     """Name of the per-trial round counter in dict payloads (``"sweeps"``
     for sweep-granular dynamics)."""
@@ -677,14 +680,8 @@ class Plurality(Protocol):
         self.q = check_positive_int(q, "q")
         if q < 2:
             raise ValueError(f"plurality needs q >= 2 colours, got {q}")
+        self.colours = self.q
         self.k = 3  # the [2] protocol is 3-sample by definition
-
-    def prepare_state(self, opinions):
-        if opinions.min() < 0 or opinions.max() >= self.q:
-            raise ValueError(
-                f"opinion codes must lie in [0, {self.q})"
-            )
-        return opinions
 
     def step_batch(self, graph, opinions, rng, *, out=None, max_batch_bytes=None):
         n = graph.num_vertices

@@ -16,7 +16,17 @@ import numpy as np
 
 from repro.graphs.base import Graph
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "index_dtype"]
+
+
+def index_dtype(n: int, arcs: int) -> np.dtype:
+    """The CSR neighbour dtype: int32 when *n* and *arcs* both fit.
+
+    Builders that fill ``indices`` themselves allocate it in this dtype,
+    so the constructor keeps their array without a converting copy.
+    """
+    limit = np.iinfo(np.int32).max
+    return np.dtype(np.int32 if n < limit and arcs < limit else np.int64)
 
 
 class CSRGraph(Graph):
@@ -62,10 +72,10 @@ class CSRGraph(Graph):
                 "indptr must start at 0 and end at len(indices) "
                 f"(got {indptr[0]}..{indptr[-1]} with {indices.size} indices)"
             )
-        n = indptr.size - 1
-        idx_dtype = np.int32 if indices.size < np.iinfo(np.int32).max and n < np.iinfo(np.int32).max else np.int64
         self._indptr = indptr.astype(np.int64, copy=False)
-        self._indices = indices.astype(idx_dtype, copy=False)
+        self._indices = indices.astype(
+            index_dtype(indptr.size - 1, indices.size), copy=False
+        )
         self._degrees = np.diff(self._indptr)
         if validate:
             self._validate()
@@ -80,24 +90,40 @@ class CSRGraph(Graph):
     ) -> "CSRGraph":
         """Build from an iterable of undirected edges ``(u, v)``.
 
-        Duplicate edges and self-loops are rejected during validation.
+        Row ``v`` lists ``v``'s partners in edge order: first the edges
+        where ``v`` is the first endpoint, then those where it is the
+        second.  Ids outside ``[0, n)`` raise ``ValueError``; duplicate
+        edges and self-loops are rejected during validation.
         """
         edge_arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if edge_arr.size == 0:
             raise ValueError("graph must have at least one edge")
         if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
             raise ValueError(f"edges must have shape (m, 2), got {edge_arr.shape}")
-        u, v = edge_arr[:, 0], edge_arr[:, 1]
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        # Counted before the sort: bincount needs no sorted src, and it
-        # rejects negative or non-integer ids first.
+        if not np.issubdtype(edge_arr.dtype, np.integer):
+            raise TypeError(f"edge ids must be integers, got {edge_arr.dtype}")
+        lo, hi = int(edge_arr.min()), int(edge_arr.max())
+        if lo < 0 or hi >= n:
+            raise ValueError(
+                f"edge ids must lie in [0, {n}), got ids from {lo} to {hi}"
+            )
+        m = edge_arr.shape[0]
+        # Ids now lie in [0, n), so the narrowest key that holds n - 1
+        # sorts to the same stable order (a radix sort up to 16 bits;
+        # bincount reads unsigned keys up to 32 bits), and the partners
+        # fit the CSR dtype: neither needs an int64 copy of the edges.
+        key_dtype = np.min_scalar_type(n - 1) if n <= 2**32 else np.int64
+        src = np.empty(2 * m, dtype=key_dtype)
+        src[:m] = edge_arr[:, 0]
+        src[m:] = edge_arr[:, 1]
         counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        # Ids now lie in [0, n), so the narrowest key that holds n - 1
-        # sorts to the same stable order (a radix sort up to 16 bits).
-        order = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")
+        order = np.argsort(src, kind="stable")
+        del src
+        dst = np.empty(2 * m, dtype=index_dtype(n, 2 * m))
+        dst[:m] = edge_arr[:, 1]
+        dst[m:] = edge_arr[:, 0]
         return cls(indptr, dst[order], validate=validate)
 
     @classmethod

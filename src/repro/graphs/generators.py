@@ -7,16 +7,19 @@ ring lattices and polluted stars as *sparse controls* that violate the
 minimum-degree hypothesis (E9), and a two-clique bridge as the adversarial
 placement host (E12).
 
-Everything is vectorised: edge lists are assembled with NumPy block
-operations, never per-edge Python loops (optimisation guide: *vectorizing
-for loops*).
+The random hosts and the ring lattice assemble an edge list with NumPy
+block operations, never per-edge Python loops (optimisation guide:
+*vectorizing for loops*), and hand it to :meth:`CSRGraph.from_edges`.
+The two clique hosts write ``indptr``/``indices`` directly, one slice
+per row and in the row order ``from_edges`` gives their edge lists:
+their ``Θ(n²)`` edge list and its sort would cost ~15× the CSR bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, index_dtype
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int, check_probability
 
@@ -295,15 +298,20 @@ def two_clique_bridge(half: int, *, bridges: int = 1) -> CSRGraph:
         raise ValueError(f"clique size must be >= 2, got {half}")
     if bridges > half:
         raise ValueError(f"bridges={bridges} cannot exceed clique size {half}")
-    tri_r, tri_c = np.triu_indices(half, k=1)
-    left = np.stack([tri_r, tri_c], axis=1).astype(np.int64)
-    right = left + half
-    cross = np.stack(
-        [np.arange(bridges, dtype=np.int64), half + np.arange(bridges, dtype=np.int64)],
-        axis=1,
-    )
-    edges = np.concatenate([left, right, cross], axis=0)
-    graph = CSRGraph.from_edges(2 * half, edges, validate=False)
+    n = 2 * half
+    partners = np.arange(bridges, dtype=np.int64)
+    degrees = np.full(n, half - 1, dtype=np.int64)
+    degrees[partners] += 1
+    degrees[half + partners] += 1
+    indptr = _indptr(degrees)
+    indices = np.empty(int(indptr[-1]), dtype=index_dtype(n, int(indptr[-1])))
+    # Left row x: higher ids, its bridge partner half + x, lower ids.
+    # Right row half + x: higher ids, lower ids, then its partner x.
+    _clique_rows(indices, indptr[:half], 0, degrees[:half] - (half - 1))
+    _clique_rows(indices, indptr[half:n], half, np.zeros(half, dtype=np.int64))
+    indices[indptr[partners] + (half - 1 - partners)] = half + partners
+    indices[indptr[half + partners + 1] - 1] = partners
+    graph = CSRGraph(indptr, indices, validate=False)
     # The generator knows the structure the CSR arrays no longer show:
     # two exchangeable cliques plus 2·bridges special endpoints.  Attach
     # the exact count-chain kernel so run_ensemble(method="auto") can
@@ -326,13 +334,45 @@ def star_polluted(core: int, pendants: int) -> CSRGraph:
     pendants = check_positive_int(pendants, "pendants")
     if core < 3:
         raise ValueError(f"core clique must have >= 3 vertices, got {core}")
-    tri_r, tri_c = np.triu_indices(core, k=1)
-    clique = np.stack([tri_r, tri_c], axis=1).astype(np.int64)
-    pend_ids = core + np.arange(pendants, dtype=np.int64)
-    anchors = np.arange(pendants, dtype=np.int64) % core
-    pend_edges = np.stack([anchors, pend_ids], axis=1)
-    edges = np.concatenate([clique, pend_edges], axis=0)
-    return CSRGraph.from_edges(core + pendants, edges, validate=False)
+    n = core + pendants
+    pend = np.arange(pendants, dtype=np.int64)
+    anchors = pend % core
+    degrees = np.ones(n, dtype=np.int64)
+    degrees[:core] = core - 1 + np.bincount(anchors, minlength=core)
+    indptr = _indptr(degrees)
+    indices = np.empty(int(indptr[-1]), dtype=index_dtype(n, int(indptr[-1])))
+    # Core row x: higher core ids, x's pendants ascending, lower core
+    # ids; pendant j is the (j // core)-th of its anchor's pendants.
+    _clique_rows(indices, indptr[:core], 0, degrees[:core] - (core - 1))
+    indices[indptr[anchors] + (core - 1 - anchors) + pend // core] = core + pend
+    indices[indptr[core:n]] = anchors
+    return CSRGraph(indptr, indices, validate=False)
+
+
+def _indptr(degrees: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return indptr
+
+
+def _clique_rows(
+    indices: np.ndarray, starts: np.ndarray, first: int, gaps: np.ndarray
+) -> None:
+    """Write the rows of the clique on ids ``first .. first + size - 1``.
+
+    Row ``i`` (``size = len(starts)`` rows) starts at ``starts[i]``: the
+    clique ids above ``first + i`` ascending, then ``gaps[i]`` slots left
+    for the caller, then the ids below ``first + i`` ascending.  That is
+    the order :meth:`CSRGraph.from_edges` gives the clique's
+    upper-triangle edge list, with the caller's edges listed after it.
+    One row at a time, so no temporary outgrows ``ids``.
+    """
+    size = len(starts)
+    ids = np.arange(first, first + size, dtype=indices.dtype)
+    for i, (start, gap) in enumerate(zip(starts.tolist(), gaps.tolist())):
+        mid = start + size - 1 - i
+        indices[start:mid] = ids[i + 1 :]
+        indices[mid + gap : mid + gap + i] = ids[:i]
 
 
 def from_networkx(g) -> CSRGraph:

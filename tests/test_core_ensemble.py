@@ -25,9 +25,11 @@ from repro.core.ensemble import (
 )
 from repro.core.opinions import BLUE, RED, exact_count_opinions, random_opinions
 from repro.graphs.generators import erdos_renyi
+from repro.core.protocols import Plurality
 from repro.graphs.implicit import (
     CompleteBipartiteGraph,
     CompleteGraph,
+    CompleteMultipartiteGraph,
     RookGraph,
 )
 from repro.util.rng import spawn_generators
@@ -384,6 +386,42 @@ class TestEngineApi:
             run_ensemble(
                 CompleteGraph(64), replicas=3, method=method,
                 initial_opinions=np.zeros(shape, dtype=np.uint8),
+            )
+
+    @pytest.mark.parametrize("method", ["batched", "count_chain"])
+    @pytest.mark.parametrize("bad", [2, -1, 256])
+    def test_explicit_opinions_outside_the_colours_rejected(self, method, bad):
+        # 2 used to run on the dense path with totals stuck at 5; -1 and
+        # 256 would wrap into valid uint8 codes.
+        with pytest.raises(ValueError, match=r"must be 0 \(red\) or 1 \(blue\)"):
+            run_ensemble(
+                CompleteMultipartiteGraph([5, 5]), replicas=2, method=method,
+                initial_opinions=[bad] * 5 + [0] * 5, max_steps=5,
+            )
+
+    @pytest.mark.parametrize("method", ["batched", "count_chain"])
+    def test_initializer_rows_outside_the_colours_rejected(self, method):
+        # Colour 2 used to count as blue on the dense path, which then
+        # reported consensus.
+        with pytest.raises(ValueError, match=r"must be 0 \(red\) or 1 \(blue\)"):
+            run_ensemble(
+                CompleteGraph(10), replicas=2, method=method, max_steps=5,
+                initializer=lambda n, g: g.integers(0, 3, n),
+            )
+
+    def test_plurality_start_uses_its_own_colours(self):
+        ens = run_ensemble(
+            CompleteGraph(30), replicas=3, protocol=Plurality(3), seed=4,
+            initializer=lambda n, g: g.integers(0, 3, n), max_steps=200,
+        )
+        assert ens.converged.all()
+        assert set(ens.winners.tolist()) <= {0, 1, 2}
+
+    def test_plurality_start_outside_its_colours_rejected(self):
+        with pytest.raises(ValueError, match=r"opinion codes in \[0, 3\)"):
+            run_ensemble(
+                CompleteGraph(30), replicas=3, protocol=Plurality(3),
+                initial_opinions=np.arange(30) % 4,
             )
 
     def test_unknown_method(self):

@@ -48,6 +48,41 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             CSRGraph.from_edges(2, [(0, 1), (1, 0)])
 
+    # An id >= n is rejected before bincount would size its counters by
+    # it, and before the int32 partner array would wrap 2**40 + 2 to 2.
+    @pytest.mark.parametrize("bad", [3, 2**40, 2**40 + 2, -1])
+    def test_out_of_range_id_rejected_before_counting(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+            CSRGraph.from_edges(3, np.array([[0, 1], [1, bad]]), validate=False)
+
+    def test_non_integer_ids_rejected(self):
+        with pytest.raises(TypeError, match="integers"):
+            CSRGraph.from_edges(3, np.array([[0.0, 1.0], [1.0, 2.0]]))
+
+    def test_from_edges_builds_narrow_without_int64_copies(self):
+        import tracemalloc
+
+        from repro.graphs.generators import random_regular
+
+        g = random_regular(2048, 64, seed=0)
+        src = np.repeat(np.arange(2048), g.degrees)
+        upper = src < g.indices
+        pairs = np.stack([src[upper], g.indices[upper].astype(np.int64)], axis=1)
+        tracemalloc.start()
+        try:
+            rebuilt = CSRGraph.from_edges(2048, pairs, validate=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rebuilt.indices.dtype == np.int32
+        np.testing.assert_array_equal(rebuilt.indptr, g.indptr)
+        # Concatenating int64 src/dst and gathering int64 partners
+        # peaked at 72.8 bytes per edge (4.77 MB here); the narrow
+        # build holds a uint16 key, the intp order and two int32
+        # partner arrays.
+        assert peak <= 0.6 * 4.77e6
+        assert peak <= 0.6 * 72.8 * pairs.shape[0]
+
     def test_asymmetric_raw_arrays_rejected(self):
         # 0 -> 1 present but 1 -> 0 missing.
         with pytest.raises(ValueError):

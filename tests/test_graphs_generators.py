@@ -152,6 +152,30 @@ class TestStarPolluted:
             star_polluted(2, 1)
 
 
+def _build_peak(build):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        graph = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return graph, peak
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: star_polluted(2048, 256), lambda: two_clique_bridge(1024, bridges=3)],
+    ids=["star", "bridge"],
+)
+def test_clique_hosts_build_in_their_csr_bytes(build):
+    """Written row by row: no edge list (~15x the CSR bytes) or sort."""
+    graph, peak = _build_peak(build)
+    assert graph.indices.dtype == np.int32
+    assert peak <= 1.5 * (graph.indptr.nbytes + graph.indices.nbytes)
+
+
 class TestFromNetworkx:
     def test_petersen(self):
         import networkx as nx
