@@ -376,23 +376,23 @@ def build_initial_matrix(
     Public for paired executions (E14's sync/async comparison): build
     the shared initial configurations once from *seed*'s init stream,
     then hand the same matrix to several ``run_ensemble(protocol=...)``
-    calls via ``initial_opinions``.  Its codes are checked against the
-    protocol's colours there, not here.
+    calls via ``initial_opinions``.  Initializer codes must fit *dtype*
+    here; ``run_ensemble`` checks them against its protocol's colours.
     """
     init_ss = spawn_generators(seed, 1)[0]
     return _initial_matrix(
         n, replicas, init_ss, delta, initializer, None, initial_blue_counts,
-        colours=None, dtype=dtype,
+        colours=int(np.iinfo(dtype).max) + 1, dtype=dtype,
     )
 
 
-def _check_codes(values: np.ndarray, colours: int | None, what: str) -> np.ndarray:
-    """Reject opinion codes outside ``[0, colours)`` (``None``: unchecked).
+def _check_codes(values: np.ndarray, colours: int, what: str) -> np.ndarray:
+    """Reject opinion codes outside ``[0, colours)``.
 
-    Runs before any cast to the protocol's opinion dtype, where ``-1``
-    or ``256`` would wrap into a valid-looking code.
+    Runs before any cast to the opinion dtype, where ``-1`` or ``256``
+    would wrap into a valid-looking code.
     """
-    if colours is not None and values.size:
+    if values.size:
         lo, hi = values.min(), values.max()
         if lo < 0 or hi >= colours:
             codes = (
@@ -406,7 +406,7 @@ def _check_codes(values: np.ndarray, colours: int | None, what: str) -> np.ndarr
 
 
 def _explicit_opinions(
-    initial_opinions, replicas: int, n: int, colours: int | None
+    initial_opinions, replicas: int, n: int, colours: int
 ) -> np.ndarray:
     """Validate an explicit ``(R, n)`` or shared ``(n,)`` initial matrix."""
     mat = np.asarray(initial_opinions)
@@ -419,7 +419,7 @@ def _explicit_opinions(
 
 
 def _initializer_row(
-    initializer, n: int, gen: np.random.Generator, colours: int | None
+    initializer, n: int, gen: np.random.Generator, colours: int
 ) -> np.ndarray:
     """One replica's initializer output, validated to shape ``(n,)``."""
     row = np.asarray(initializer(n, gen))
@@ -439,7 +439,7 @@ def _initial_matrix(
     initial_opinions,
     initial_blue_counts,
     *,
-    colours: int | None,
+    colours: int,
     dtype=OPINION_DTYPE,
 ) -> np.ndarray:
     """Materialise the ``(R, n)`` initial opinion matrix.

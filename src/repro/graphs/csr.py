@@ -109,11 +109,10 @@ class CSRGraph(Graph):
             )
         m = edge_arr.shape[0]
         # Ids now lie in [0, n), so the narrowest key that holds n - 1
-        # sorts to the same stable order (a radix sort up to 16 bits;
-        # bincount reads unsigned keys up to 32 bits), and the partners
-        # fit the CSR dtype: neither needs an int64 copy of the edges.
-        key_dtype = np.min_scalar_type(n - 1) if n <= 2**32 else np.int64
-        src = np.empty(2 * m, dtype=key_dtype)
+        # sorts to the same stable order (a radix sort up to 16 bits),
+        # and the partners fit the CSR dtype: neither needs an int64
+        # copy of the edges.
+        src = np.empty(2 * m, dtype=np.min_scalar_type(n - 1))
         src[:m] = edge_arr[:, 0]
         src[m:] = edge_arr[:, 1]
         counts = np.bincount(src, minlength=n)

@@ -303,7 +303,7 @@ def two_clique_bridge(half: int, *, bridges: int = 1) -> CSRGraph:
     degrees = np.full(n, half - 1, dtype=np.int64)
     degrees[partners] += 1
     degrees[half + partners] += 1
-    indptr = _indptr(degrees)
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
     indices = np.empty(int(indptr[-1]), dtype=index_dtype(n, int(indptr[-1])))
     # Left row x: higher ids, its bridge partner half + x, lower ids.
     # Right row half + x: higher ids, lower ids, then its partner x.
@@ -339,7 +339,7 @@ def star_polluted(core: int, pendants: int) -> CSRGraph:
     anchors = pend % core
     degrees = np.ones(n, dtype=np.int64)
     degrees[:core] = core - 1 + np.bincount(anchors, minlength=core)
-    indptr = _indptr(degrees)
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
     indices = np.empty(int(indptr[-1]), dtype=index_dtype(n, int(indptr[-1])))
     # Core row x: higher core ids, x's pendants ascending, lower core
     # ids; pendant j is the (j // core)-th of its anchor's pendants.
@@ -347,12 +347,6 @@ def star_polluted(core: int, pendants: int) -> CSRGraph:
     indices[indptr[anchors] + (core - 1 - anchors) + pend // core] = core + pend
     indices[indptr[core:n]] = anchors
     return CSRGraph(indptr, indices, validate=False)
-
-
-def _indptr(degrees: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(degrees.size + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return indptr
 
 
 def _clique_rows(

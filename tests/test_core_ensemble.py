@@ -18,6 +18,7 @@ import pytest
 from repro.core.dynamics import TieRule, step_best_of_k
 from repro.core.ensemble import (
     EnsembleResult,
+    build_initial_matrix,
     count_chain_step,
     majority_win_probability,
     run_ensemble,
@@ -408,6 +409,18 @@ class TestEngineApi:
                 CompleteGraph(10), replicas=2, method=method, max_steps=5,
                 initializer=lambda n, g: g.integers(0, 3, n),
             )
+
+    def test_build_initial_matrix_rejects_codes_its_dtype_would_wrap(self):
+        # 256 used to become a valid 0 in the uint8 matrix.
+        with pytest.raises(ValueError, match=r"opinion codes in \[0, 256\)"):
+            build_initial_matrix(
+                4, 1, seed=0, initializer=lambda n, g: np.full(n, 256)
+            )
+        wide = build_initial_matrix(
+            4, 1, seed=0, initializer=lambda n, g: np.full(n, 256),
+            dtype=np.int64,
+        )
+        np.testing.assert_array_equal(wide, [[256] * 4])
 
     def test_plurality_start_uses_its_own_colours(self):
         ens = run_ensemble(
