@@ -19,11 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dynamics import BestOfKDynamics, TieRule
+from repro.core.ensemble import run_ensemble
 from repro.core.opinions import random_opinions
+from repro.core.protocols import AsyncSweepBestOfK
 from repro.core.recursions import ideal_trajectory
 from repro.core.sprinkling import sprinkle
 from repro.core.voting_dag import VotingDAG
-from repro.extensions.async_dynamics import async_best_of_k_run
 from repro.graphs.implicit import CompleteGraph
 from repro.util.fraction_ref import ideal_trajectory_exact
 
@@ -98,7 +99,10 @@ def test_extension_async_engine(benchmark):
     rng = np.random.default_rng(8)
 
     def go():
-        res = async_best_of_k_run(g, init, seed=rng, max_sweeps=200)
-        assert res.converged
+        res = run_ensemble(
+            g, protocol=AsyncSweepBestOfK(), replicas=1, initial_opinions=init,
+            seed=rng, max_steps=200, record_trajectories=False,
+        )
+        assert res.converged.all()
 
     benchmark(go)

@@ -11,9 +11,10 @@ Measures replicas/sec for the DESIGN.md §2.3/§2.5 engine ablations:
   (exact binomials) and ``n = 10¹⁰`` (the Gaussian regime) that are
   simply out of reach for the dense path;
 * **protocol count chains vs legacy loops** — the Protocol layer's
-  noisy/zealot count-chain executions (DESIGN.md §2.6) against the
-  historical one-trial-at-a-time extension runners they replaced (the
-  ISSUE 5 acceptance guard: noisy ≥ 50× at ``n = 2¹⁴``);
+  noisy/zealot count-chain executions (DESIGN.md §2.6) against
+  one-trial-at-a-time loops like the extension runners they replaced
+  (:func:`noisy_loop`, :func:`zealot_loop`; guard: noisy ≥ 50× at
+  ``n = 2¹⁴``);
 * **flat-take gather** — the dense path's ``np.take``-over-row-offsets
   gather against the fancy-index broadcast it replaced;
 * **shared host store** — a warm ``jobs=2`` sweep pool attaching to the
@@ -54,6 +55,8 @@ from repro.util.rng import spawn_generators
 
 __all__ = [
     "sequential_loop",
+    "noisy_loop",
+    "zealot_loop",
     "bench_batched_vs_loop",
     "bench_count_chain_vs_dense",
     "bench_count_chain_theorem1",
@@ -80,6 +83,42 @@ def sequential_loop(graph, *, trials, delta, seed, max_steps=500, k=3):
         )
         converged += int(res.converged)
     return converged
+
+
+def noisy_loop(graph, init, eta, *, seed, rounds):
+    """The pre-engine noisy yardstick: one ε-noisy Best-of-3 trial as a
+    per-round loop.  Returns the stationary (second-half) blue fraction."""
+    n = graph.num_vertices
+    gen = np.random.default_rng(seed)
+    state = np.array(init, dtype=np.uint8)
+    trajectory = [int(state.sum())]
+    for _ in range(rounds):
+        draws = graph.sample_neighbors(graph.vertex_ids, 3, gen)
+        state = (state[draws].sum(axis=1, dtype=np.int64) >= 2).astype(np.uint8)
+        noisy = gen.random(n) < eta
+        m = int(noisy.sum())
+        if m:
+            state[noisy] = (gen.random(m) < 0.5).astype(np.uint8)
+        trajectory.append(int(state.sum()))
+    return float(np.mean(trajectory[rounds // 2 :]) / n)
+
+
+def zealot_loop(graph, init, z, *, seed, max_rounds):
+    """The pre-engine zealot yardstick: one Best-of-3 trial with vertices
+    ``0..z-1`` pinned blue, looped until the ordinary vertices agree.
+    Returns whether they all ended blue."""
+    n = graph.num_vertices
+    gen = np.random.default_rng(seed)
+    state = np.array(init, dtype=np.uint8)
+    state[:z] = 1
+    for _ in range(max_rounds):
+        ordinary_blue = int(state[z:].sum())
+        if ordinary_blue in (0, n - z):
+            break
+        draws = graph.sample_neighbors(graph.vertex_ids, 3, gen)
+        state = (state[draws].sum(axis=1, dtype=np.int64) >= 2).astype(np.uint8)
+        state[:z] = 1
+    return int(state[z:].sum()) == n - z
 
 
 def _timed(fn):
@@ -264,29 +303,25 @@ def bench_noisy_count_chain_vs_loop(
 ):
     """Replicas/sec: the noisy count chain vs the legacy per-trial loop.
 
-    The legacy side is :func:`repro.extensions.noisy_dynamics.
-    noisy_best_of_three_run` driven one trial at a time with the
-    historical stream layout; the engine side is
+    The legacy side is :func:`noisy_loop` driven one trial at a time with
+    the historical stream layout; the engine side is
     ``run_ensemble(protocol=NoisyBestOfK(eta))`` on the same complete
-    host, which routes to the exact η-mixed count chain.  The ISSUE 5
-    acceptance guard holds this at ≥ 50× for ``n = 2¹⁴``.
+    host, which routes to the exact η-mixed count chain.  The acceptance
+    guard holds this at ≥ 50× for ``n = 2¹⁴``.
     """
     from repro.core.protocols import NoisyBestOfK
-    from repro.extensions.noisy_dynamics import noisy_best_of_three_run
 
     graph = CompleteGraph(n)
 
     def loop():
         gens = spawn_generators(seed, 2 * trials)
-        out = []
-        for j in range(trials):
-            init = random_opinions(n, delta, rng=gens[2 * j])
-            out.append(
-                noisy_best_of_three_run(
-                    graph, init, eta, seed=gens[2 * j + 1], rounds=rounds
-                ).stationary_blue_fraction
+        return [
+            noisy_loop(
+                graph, random_opinions(n, delta, rng=gens[2 * j]), eta,
+                seed=gens[2 * j + 1], rounds=rounds,
             )
-        return out
+            for j in range(trials)
+        ]
 
     proto = NoisyBestOfK(eta)
     t_loop, _ = _timed(loop)
@@ -319,28 +354,26 @@ def bench_zealot_count_chain_vs_loop(
 ):
     """Replicas/sec: the pinned-slot zealot chain vs the legacy loop.
 
-    Legacy side: :func:`repro.extensions.zealots.zealot_best_of_three_run`
-    per trial; engine side: ``run_ensemble(protocol=ZealotBestOfK(z))``
-    with zealots as pinned count-chain slots.  The default ``z`` sits
-    above the takeover threshold, so both sides absorb at all-blue in a
-    handful of rounds and the comparison times whole runs.
+    Legacy side: :func:`zealot_loop` per trial; engine side:
+    ``run_ensemble(protocol=ZealotBestOfK(z))`` with zealots as pinned
+    count-chain slots.  The default ``z`` sits above the takeover
+    threshold, so both sides absorb at all-blue in a handful of rounds
+    and the comparison times whole runs.
     """
     from repro.core.protocols import ZealotBestOfK
-    from repro.extensions.zealots import zealot_best_of_three_run
 
     graph = CompleteGraph(n)
     z = int(0.08 * n) if zealots is None else zealots
 
     def loop():
         gens = spawn_generators(seed, 2 * trials)
-        out = 0
-        for j in range(trials):
-            init = random_opinions(n, delta, rng=gens[2 * j])
-            res = zealot_best_of_three_run(
-                graph, init, z, seed=gens[2 * j + 1], max_rounds=max_rounds
+        return sum(
+            zealot_loop(
+                graph, random_opinions(n, delta, rng=gens[2 * j]), z,
+                seed=gens[2 * j + 1], max_rounds=max_rounds,
             )
-            out += res.ordinary_outcome == "all_blue"
-        return out
+            for j in range(trials)
+        )
 
     t_loop, _ = _timed(loop)
     t_chain, res = _median_timed(

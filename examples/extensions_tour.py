@@ -2,8 +2,9 @@
 """Tour of the extension models: noise, asynchrony, zealots.
 
 The paper analyses the clean synchronous model; this example probes how
-far its headline behaviour stretches, using the extension modules and
-their mean-field predictions (experiments E13-E15 run these at scale):
+far its headline behaviour stretches, running the extension protocols
+through the ensemble engine and comparing them with their mean-field
+predictions (experiments E13-E15 run these at scale):
 
 1. noise bifurcation — sweep eta through the critical value 1/3 and
    watch the majority signal die exactly where the map says it must;
@@ -15,38 +16,44 @@ their mean-field predictions (experiments E13-E15 run these at scale):
 Run:  python examples/extensions_tour.py
 """
 
-import numpy as np
-
 from repro.analysis.tables import format_table
-from repro.core.dynamics import best_of_three
+from repro.core.ensemble import run_ensemble
 from repro.core.meanfield import best_of_k_map, map_derivative_at_half
 from repro.core.opinions import random_opinions
-from repro.extensions.async_dynamics import async_best_of_k_run
-from repro.extensions.noisy_dynamics import (
-    CRITICAL_NOISE,
-    noisy_best_of_three_run,
-    noisy_fixed_points,
+from repro.core.protocols import (
+    AsyncSweepBestOfK,
+    BestOfK,
+    NoisyBestOfK,
+    ZealotBestOfK,
 )
-from repro.extensions.zealots import zealot_best_of_three_run
+from repro.extensions.noisy_dynamics import CRITICAL_NOISE, noisy_fixed_points
 from repro.graphs.implicit import CompleteGraph
 
 N, DELTA = 20_000, 0.1
+
+
+def run_one(g, protocol, *, seed, max_steps, **init):
+    """One trial of *protocol* through the ensemble engine."""
+    return run_ensemble(
+        g, protocol=protocol, replicas=1, seed=seed, max_steps=max_steps, **init
+    )
 
 
 def noise_section(g) -> None:
     print(f"--- 1. noise bifurcation (critical eta* = {CRITICAL_NOISE:.4f}) ---")
     rows = []
     for i, eta in enumerate([0.0, 0.15, 0.30, 0.40, 0.60]):
-        res = noisy_best_of_three_run(
-            g, random_opinions(N, DELTA, rng=(1, i)), eta, seed=(2, i), rounds=80
-        )
+        proto = NoisyBestOfK(eta)
+        res = run_one(g, proto, seed=(2, i), max_steps=80, delta=DELTA)
+        payload = proto.summarize(res)
         pts = noisy_fixed_points(eta)
         rows.append(
             {
                 "eta": eta,
-                "stationary blue": res.stationary_blue_fraction,
+                "stationary blue": payload["stationary_blue_fraction"][0],
                 "predicted": pts[0] if eta < CRITICAL_NOISE else 0.5,
-                "majority survives": res.majority_preserved and eta < CRITICAL_NOISE,
+                "majority survives": payload["majority_preserved"][0]
+                and eta < CRITICAL_NOISE,
             }
         )
     print(format_table(
@@ -58,11 +65,14 @@ def noise_section(g) -> None:
 def async_section(g) -> None:
     print("--- 2. asynchronous vs synchronous ---")
     init = random_opinions(N, DELTA, rng=3)
-    sync = best_of_three(g).run(init, seed=4, keep_final=False)
-    asyn = async_best_of_k_run(g, init, seed=5)
-    print(f"synchronous rounds : {sync.steps} (winner {'red' if sync.winner == 0 else 'blue'})")
-    print(f"asynchronous sweeps: {asyn.sweeps} (winner {'red' if asyn.winner == 0 else 'blue'})")
-    print(f"ratio              : {asyn.sweeps / sync.steps:.2f} (a constant; E14 sweeps sizes)")
+    sync = run_one(g, BestOfK(3), seed=4, max_steps=10_000, initial_opinions=init)
+    asyn = run_one(
+        g, AsyncSweepBestOfK(), seed=5, max_steps=10_000, initial_opinions=init
+    )
+    for name, res in (("synchronous rounds ", sync), ("asynchronous sweeps", asyn)):
+        winner = "red" if res.winners[0] == 0 else "blue"
+        print(f"{name}: {res.steps[0]} (winner {winner})")
+    print(f"ratio              : {asyn.steps[0] / sync.steps[0]:.2f} (a constant; E14 sweeps sizes)")
     print()
 
 
@@ -71,15 +81,14 @@ def zealot_section(g) -> None:
     rows = []
     for i, pct in enumerate([1, 3, 5, 8, 12]):
         z = N * pct // 100
-        res = zealot_best_of_three_run(
-            g, random_opinions(N, DELTA, rng=(6, i)), z, seed=(7, i), max_rounds=400
-        )
+        proto = ZealotBestOfK(z)
+        res = run_one(g, proto, seed=(7, i), max_steps=400, delta=DELTA)
         rows.append(
             {
                 "zealots %": pct,
-                "outcome": res.ordinary_outcome,
-                "rounds": res.rounds,
-                "final blue count": int(res.blue_trajectory[-1]),
+                "outcome": proto.summarize(res)["ordinary_outcome"][0],
+                "rounds": int(res.steps[0]),
+                "final blue count": int(res.final_totals[0]),
             }
         )
     print(format_table(["zealots %", "outcome", "rounds", "final blue count"], rows))

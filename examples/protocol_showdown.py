@@ -4,7 +4,8 @@
 Same dense host, same biased initial condition; compare the voter model,
 Best-of-2 (both tie rules), Best-of-3/5/7, q-colour plurality, and
 deterministic local majority on speed and on *who wins* — the qualitative
-landscape the paper's introduction surveys.
+landscape the paper's introduction surveys.  Every protocol runs its
+trials as one ensemble through ``run_ensemble``.
 
 Run:  python examples/protocol_showdown.py
 """
@@ -12,92 +13,65 @@ Run:  python examples/protocol_showdown.py
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.baselines.local_majority import local_majority_run
-from repro.baselines.plurality import plurality_run, random_plurality_opinions
+from repro.baselines.plurality import plurality_ensemble
 from repro.baselines.voter import voter_win_probability
-from repro.core.dynamics import BestOfKDynamics, TieRule
+from repro.core.dynamics import TieRule
+from repro.core.ensemble import run_ensemble
 from repro.core.opinions import RED, random_opinions
+from repro.core.protocols import BestOfK, LocalMajority, Voter
 from repro.graphs.generators import erdos_renyi
-from repro.util.rng import spawn_generators
 
 N, DELTA, TRIALS = 1024, 0.1, 10
 
 
-def run_protocol(name, graph, factory, max_steps, seed):
-    gens = spawn_generators(seed, 2 * TRIALS)
-    dyn = factory(graph)
-    red, steps = 0, []
-    for i in range(TRIALS):
-        init = random_opinions(N, DELTA, rng=gens[2 * i])
-        res = dyn.run(init, seed=gens[2 * i + 1], max_steps=max_steps, keep_final=False)
-        if res.converged:
-            steps.append(res.steps)
-            red += int(res.winner == RED)
+def summarise(name, res, *, winner=RED, label="", partial="no"):
+    steps = res.converged_steps
+    wins = int(np.count_nonzero(res.winners == winner))
     return {
         "protocol": name,
-        "red wins": f"{red}/{TRIALS}",
-        "mean T": float(np.mean(steps)) if steps else float("nan"),
-        "max T": int(np.max(steps)) if steps else 0,
-        "amplifies majority": "yes" if red == TRIALS else "no",
+        "red wins": f"{wins}/{TRIALS}{label}",
+        "mean T": float(np.mean(steps)) if steps.size else float("nan"),
+        "max T": int(np.max(steps)) if steps.size else 0,
+        "amplifies majority": "yes" if wins == TRIALS else partial,
     }
+
+
+def run_protocol(name, graph, protocol, max_steps, seed):
+    res = run_ensemble(
+        graph, protocol=protocol, replicas=TRIALS, delta=DELTA, seed=seed,
+        max_steps=max_steps, record_trajectories=False,
+    )
+    return summarise(name, res)
 
 
 def main() -> None:
     graph = erdos_renyi(N, 0.25, seed=0)
     rows = [
-        run_protocol("voter (k=1)", graph, lambda g: BestOfKDynamics(g, 1), 100_000, 1),
+        run_protocol("voter (k=1)", graph, Voter(), 100_000, 1),
         run_protocol(
-            "best-of-2 (keep)",
-            graph,
-            lambda g: BestOfKDynamics(g, 2, tie_rule=TieRule.KEEP_SELF),
-            5_000,
-            2,
+            "best-of-2 (keep)", graph, BestOfK(2, tie_rule=TieRule.KEEP_SELF),
+            5_000, 2,
         ),
         run_protocol(
-            "best-of-2 (random)",
-            graph,
-            lambda g: BestOfKDynamics(g, 2, tie_rule=TieRule.RANDOM),
-            100_000,
-            3,
+            "best-of-2 (random)", graph, BestOfK(2, tie_rule=TieRule.RANDOM),
+            100_000, 3,
         ),
-        run_protocol("best-of-3", graph, lambda g: BestOfKDynamics(g, 3), 5_000, 4),
-        run_protocol("best-of-5", graph, lambda g: BestOfKDynamics(g, 5), 5_000, 5),
-        run_protocol("best-of-7", graph, lambda g: BestOfKDynamics(g, 7), 5_000, 6),
+        run_protocol("best-of-3", graph, BestOfK(3), 5_000, 4),
+        run_protocol("best-of-5", graph, BestOfK(5), 5_000, 5),
+        run_protocol("best-of-7", graph, BestOfK(7), 5_000, 6),
+        run_protocol("local majority (det.)", graph, LocalMajority(), 10_000, 7),
     ]
 
-    # Deterministic local majority.
-    lm_steps, lm_red = [], 0
-    for gen in spawn_generators(7, TRIALS):
-        res = local_majority_run(graph, random_opinions(N, DELTA, rng=gen))
-        if res.outcome == "consensus":
-            lm_steps.append(res.steps)
-            lm_red += int(res.winner == RED)
-    rows.append(
-        {
-            "protocol": "local majority (det.)",
-            "red wins": f"{lm_red}/{TRIALS}",
-            "mean T": float(np.mean(lm_steps)) if lm_steps else float("nan"),
-            "max T": int(np.max(lm_steps)) if lm_steps else 0,
-            "amplifies majority": "yes" if lm_red == TRIALS else "no",
-        }
-    )
-
     # Three-colour plurality ([2]'s setting).
-    pl_steps, pl_wins = [], 0
-    for gen in spawn_generators(8, TRIALS):
-        init = random_plurality_opinions(N, np.array([0.45, 0.3, 0.25]), rng=gen)
-        res = plurality_run(graph, init, seed=gen)
-        if res.converged:
-            pl_steps.append(res.steps)
-            pl_wins += int(res.winner == 0)
+    plurality = plurality_ensemble(
+        graph, trials=TRIALS, probabilities=np.array([0.45, 0.3, 0.25]),
+        seed=8, max_steps=10_000,
+    )
     rows.append(
-        {
-            "protocol": "plurality q=3 (bo3)",
-            "red wins": f"{pl_wins}/{TRIALS} (colour 0)",
-            "mean T": float(np.mean(pl_steps)) if pl_steps else float("nan"),
-            "max T": int(np.max(pl_steps)) if pl_steps else 0,
-            "amplifies majority": "yes" if pl_wins == TRIALS else "mostly",
-        }
+        summarise(
+            "plurality q=3 (bo3)", plurality, winner=0, label=" (colour 0)",
+            partial="mostly",
+        )
     )
 
     print(f"host: G({N}, 0.25), delta = {DELTA}, {TRIALS} trials/protocol\n")

@@ -11,10 +11,11 @@ apples-to-apples:
   conditions.
 * :mod:`repro.baselines.best_of_k` — Best-of-k for odd ``k ≥ 5`` with the
   Abdullah–Draief [1] applicability predicate.
-* :mod:`repro.baselines.local_majority` — deterministic full-neighbourhood
-  majority (classic contrast protocol).
 * :mod:`repro.baselines.plurality` — multi-opinion (q-colour) 3-majority
   with random tie-breaking, the Becchetti et al. [2] setting.
+
+Deterministic full-neighbourhood majority, the classic contrast
+protocol, is :class:`repro.core.protocols.LocalMajority`.
 """
 
 from repro.baselines.best_of_k import abdullah_draief_applicable, best_of_k_dynamics
@@ -24,11 +25,8 @@ from repro.baselines.best_of_two import (
     satisfies_cooper_condition,
     satisfies_spectral_condition,
 )
-from repro.baselines.local_majority import LocalMajorityResult, local_majority_run
 from repro.baselines.plurality import (
-    PluralityResult,
     becchetti_gap_threshold,
-    plurality_run,
     random_plurality_opinions,
 )
 from repro.baselines.voter import voter_dynamics, voter_win_probability
@@ -42,10 +40,6 @@ __all__ = [
     "satisfies_spectral_condition",
     "best_of_k_dynamics",
     "abdullah_draief_applicable",
-    "local_majority_run",
-    "LocalMajorityResult",
-    "plurality_run",
-    "PluralityResult",
     "random_plurality_opinions",
     "becchetti_gap_threshold",
 ]

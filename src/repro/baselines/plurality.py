@@ -8,20 +8,16 @@ three sampled opinions.  They prove plurality consensus w.h.p. in
 the top two opinions is
 ``Ω(min{√(2q), (n/log n)^{1/6}}·√(n·log n))``.
 
-This module is a thin wrapper over the
-:class:`~repro.core.protocols.Plurality` protocol (opinion codes
-``0..q-1``): :func:`plurality_step` is the protocol's batched round at
-``R = 1``, :func:`plurality_ensemble` drives many trials through the
-ensemble engine at once (counts batched over the replica axis), and
-:func:`plurality_run` keeps the single-run per-colour count trajectory
-the [2] gap analysis consumes.  :func:`becchetti_gap_threshold` provides
-the [2] threshold for the E8 comparison harness.
+The dynamics is the :class:`~repro.core.protocols.Plurality` protocol
+(opinion codes ``0..q-1``); :func:`plurality_ensemble` drives many
+trials through the ensemble engine at once from i.i.d. colours drawn by
+:func:`random_plurality_opinions`.  :func:`becchetti_gap_threshold`
+provides the [2] threshold for the E8 comparison harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +29,6 @@ from repro.util.validation import check_positive_int
 
 __all__ = [
     "random_plurality_opinions",
-    "plurality_step",
-    "PluralityResult",
-    "plurality_run",
     "plurality_ensemble",
     "becchetti_gap_threshold",
 ]
@@ -53,91 +46,6 @@ def random_plurality_opinions(
         raise ValueError(f"probabilities must be non-negative and sum to 1, got {probs}")
     gen = as_generator(rng)
     return gen.choice(probs.size, size=n, p=probs).astype(np.int64)
-
-
-def plurality_step(
-    graph: Graph, opinions: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One synchronous round of q-colour 3-majority with random ties.
-
-    For each vertex, sort its three sampled opinions: if any value repeats
-    the median equals the majority value; otherwise (three distinct
-    values) adopt a uniform random one of the three — the [2] tie rule.
-    Thin wrapper: one row of the batched
-    :meth:`~repro.core.protocols.Plurality.step_batch` round.
-    """
-    n = graph.num_vertices
-    opinions = np.asarray(opinions)
-    if opinions.shape != (n,):
-        raise ValueError(
-            f"opinions shape {opinions.shape} does not match graph n={n}"
-        )
-    q = max(int(opinions.max()) + 1, 2)
-    proto = Plurality(q)
-    return proto.step_batch(
-        graph, opinions.astype(np.int64, copy=False)[None, :], rng
-    )[0]
-
-
-@dataclass
-class PluralityResult:
-    """Outcome of a q-colour plurality run.
-
-    Attributes
-    ----------
-    converged:
-        Whether a single opinion took over within the budget.
-    winner:
-        The consensus opinion code, or ``None``.
-    steps:
-        Rounds executed.
-    count_trajectory:
-        ``(steps+1, q)`` matrix of per-colour counts over time.
-    """
-
-    converged: bool
-    winner: int | None
-    steps: int
-    count_trajectory: np.ndarray
-
-
-def plurality_run(
-    graph: Graph,
-    initial_opinions: np.ndarray,
-    *,
-    q: int | None = None,
-    seed: SeedLike = None,
-    max_steps: int = 10_000,
-) -> PluralityResult:
-    """Run q-colour 3-majority until consensus or *max_steps*."""
-    max_steps = check_positive_int(max_steps, "max_steps")
-    n = graph.num_vertices
-    opinions = np.asarray(initial_opinions).astype(np.int64, copy=True)
-    if opinions.shape != (n,):
-        raise ValueError(
-            f"initial_opinions shape {opinions.shape} does not match n={n}"
-        )
-    if q is None:
-        q = int(opinions.max()) + 1
-    q = check_positive_int(q, "q")
-    if opinions.min() < 0 or opinions.max() >= q:
-        raise ValueError(f"opinion codes must lie in [0, {q})")
-    gen = as_generator(seed)
-    counts = [np.bincount(opinions, minlength=q)]
-    steps = 0
-    while counts[-1].max() < n and steps < max_steps:
-        opinions = plurality_step(graph, opinions, gen)
-        counts.append(np.bincount(opinions, minlength=q))
-        steps += 1
-    trajectory = np.stack(counts, axis=0)
-    converged = int(trajectory[-1].max()) == n
-    winner = int(trajectory[-1].argmax()) if converged else None
-    return PluralityResult(
-        converged=converged,
-        winner=winner,
-        steps=steps,
-        count_trajectory=trajectory,
-    )
 
 
 def plurality_ensemble(

@@ -139,9 +139,10 @@ def noisy_best_of_k_map(
     With probability ``eta`` a vertex ignores its sample and adopts a
     fair coin, so the map is the η-mixture
     ``(1 − eta)·g_k(b) + eta/2`` of :func:`best_of_k_map` with the
-    symmetric point.  ``k = 3`` is the E13 bifurcation map (historically
-    :func:`repro.extensions.noisy_dynamics.noisy_ideal_step`): its
-    stable fixed points undergo a pitchfork at ``eta* = 1/3``.
+    symmetric point.  ``k = 3`` is the E13 bifurcation map: its fixed
+    points undergo a pitchfork at ``b = 1/2`` where
+    ``(1 − eta)·g′(1/2) = 1``, i.e. ``eta* = 1/3``
+    (:mod:`repro.extensions.noisy_dynamics`).
     """
     b = _unit_interval(b, "b")
     eta = check_probability(eta, "eta")

@@ -298,10 +298,9 @@ class NoisyBestOfK(BestOfK):
     """ε-noisy Best-of-k: follow the sample majority w.p. ``1 − eta``,
     else adopt a fair coin (E13's bifurcation dynamics).
 
-    Consensus stops being absorbing for ``eta > 0`` — and, matching the
-    historical runner, noisy ensembles always use their full round
-    budget, so the stationary second-half statistics are comparable
-    across replicas.  The count-chain transition is the exact η-mixed
+    Consensus stops being absorbing for ``eta > 0``, and noisy ensembles
+    always use their full round budget, so the stationary second-half
+    statistics are comparable across replicas.  The count-chain transition is the exact η-mixed
     :class:`~repro.core.kernels.NoisyLaw`, making E13-style grids on
     exchangeable hosts O(1) per round.
     """
@@ -333,9 +332,8 @@ class NoisyBestOfK(BestOfK):
         return out
 
     def absorbed(self, totals, n, *, state=None, prev=None):
-        # Never: even at eta = 0 the historical runner used the whole
-        # budget, which is what makes traj[budget/2:] a stationary
-        # window for every replica.
+        # Never, even at eta = 0: the whole budget is what makes
+        # traj[budget/2:] a stationary window for every replica.
         return np.zeros(totals.shape, dtype=bool)
 
     def meanfield_map(self, b, n=None):
@@ -520,11 +518,15 @@ class AsyncSweepBestOfK(Protocol):
     One :meth:`step_batch` call is one *sweep*: ``n`` single-vertex
     ticks per replica, processed in sub-batches of ``batch`` uniformly
     random vertices computed against the state at sub-batch start
-    (``batch = 1`` recovers the exact sequential chain; the default
-    ``n/16`` matches :func:`repro.extensions.async_dynamics.
-    async_best_of_k_run`).  Each replica draws its own tick vertices, so
-    replicas stay independent.  Even ``k`` keeps the vertex's own
-    opinion on ties (the only rule the sequential chain defines).
+    (``batch = 1`` recovers the exact sequential chain; the default is
+    ``n/16``, where reads rarely race on dense hosts).  Each replica
+    draws its own tick vertices, so replicas stay independent.  Even
+    ``k`` keeps the vertex's own opinion on ties (the only rule the
+    sequential chain defines).
+
+    A sweep has no per-vertex product law (later ticks read earlier
+    writes), so the one-round oracle does not apply; the tests check it
+    against a one-trial reference loop kept in ``tests/``.
     """
 
     name = "async_best_of_k"
@@ -606,10 +608,10 @@ class LocalMajority(Protocol):
     replicas — the per-run loop's matvec was the old path).  The engine
     stops a replica at any fixed point: consensus rows win as usual,
     frozen non-unanimous rows stop with winner ``-1`` (counted
-    unconverged).  Period-2 cycles are *not* detected here — the
-    single-run :func:`repro.baselines.local_majority.local_majority_run`
-    keeps its Goles–Olivos cycle detector — so cap ``max_steps``
-    accordingly on bipartite-ish hosts.
+    unconverged).  Period-2 cycles (the Goles–Olivos alternative to a
+    fixed point, e.g. the blinker on a complete bipartite graph) are not
+    detected: such a replica runs to ``max_steps`` and ends unconverged,
+    so cap ``max_steps`` accordingly on bipartite-ish hosts.
     """
 
     name = "local_majority"

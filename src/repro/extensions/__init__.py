@@ -1,34 +1,17 @@
 """Extensions beyond the paper's model.
 
 The paper analyses the *synchronous, noiseless, fully-conformist*
-Best-of-Three dynamics.  This subpackage implements the three standard
-relaxations studied in the surrounding literature so the reproduction can
-probe how far the headline behaviour survives:
+Best-of-Three dynamics.  The three standard relaxations studied in the
+surrounding literature are protocols of the ensemble engine
+(:mod:`repro.core.protocols`): ``NoisyBestOfK`` (ε-noisy updates),
+``AsyncSweepBestOfK`` (sequential updates measured in sweeps of ``n``
+ticks) and ``ZealotBestOfK`` (stubborn blue vertices).  This subpackage
+keeps the analysis that goes with them:
 
-* :mod:`repro.extensions.async_dynamics` — asynchronous (sequential)
-  updates: one uniformly random vertex revises per tick; time is measured
-  in *sweeps* (n ticks) for comparability with synchronous rounds.
-* :mod:`repro.extensions.noisy_dynamics` — ε-noisy updates: with
-  probability ``eta`` a vertex adopts a uniform random opinion instead of
-  the sample majority.  Consensus becomes metastable rather than
-  absorbing; the interesting observable is the stationary majority level.
-* :mod:`repro.extensions.zealots` — stubborn vertices that never update;
-  measures how many blue zealots are needed to block or flip the red
-  majority.
-
-Each module exposes the same run/result idioms as :mod:`repro.core` and
-is exercised by its own experiment-style tests and ablation benchmarks.
+* :mod:`repro.extensions.noisy_dynamics` — the noisy map's pitchfork at
+  ``eta* = 1/3`` and its exact fixed points (E13).
 """
 
-from repro.extensions.async_dynamics import AsyncRunResult, async_best_of_k_run
-from repro.extensions.noisy_dynamics import NoisyRunResult, noisy_best_of_three_run
-from repro.extensions.zealots import ZealotRunResult, zealot_best_of_three_run
+from repro.extensions.noisy_dynamics import CRITICAL_NOISE, noisy_fixed_points
 
-__all__ = [
-    "async_best_of_k_run",
-    "AsyncRunResult",
-    "noisy_best_of_three_run",
-    "NoisyRunResult",
-    "zealot_best_of_three_run",
-    "ZealotRunResult",
-]
+__all__ = ["CRITICAL_NOISE", "noisy_fixed_points"]

@@ -1,77 +1,46 @@
-"""ε-noisy Best-of-Three: random opinion adoption with probability eta.
+"""ε-noisy Best-of-Three: the mean-field bifurcation E13 checks against.
 
-With probability ``eta`` a vertex ignores its sample and adopts a uniform
-random opinion; otherwise it follows the Best-of-3 majority.  Consensus
-states stop being absorbing, so the process has a genuine stationary
-regime.  The mean-field map becomes
+With probability ``eta`` a vertex ignores its sample and adopts a
+uniform random opinion; otherwise it follows the Best-of-3 majority.
+Consensus states stop being absorbing, so the process has a genuine
+stationary regime.  The mean-field map is
 
-    ``b ↦ (1 − eta)·(3b² − 2b³) + eta/2``
+    ``f(b) = (1 − eta)·g(b) + eta/2``   with   ``g(b) = 3b² − 2b³``.
 
-whose stable fixed points undergo a pitchfork-style bifurcation: for
-``eta`` below the critical noise the map keeps two stable fixed points
-near 0 and 1 (metastable near-consensus that remembers the initial
-majority); above it only ``b = 1/2`` survives and the majority signal is
-destroyed.  Setting the fixed-point equation's discriminant to zero gives
-the exact critical value ``eta* = 1/3``: solving
-``(1−eta)(3b²−2b³) + eta/2 = b`` at the tangency point ``b = 1/2 ±
-1/(2√3)`` — the same ``1/(2√3)`` gap target that rules Lemma 4's phase
-boundary.
+``b = 1/2`` is always fixed.  Writing ``b = 1/2 + x`` gives
+``g(1/2 + x) = 1/2 + (3/2)x − 2x³``, so the other fixed points solve
+``(1 − eta)(3/2 − 2x²) = 1``.  They exist, symmetric about 1/2, exactly
+while ``(1 − eta)·g′(1/2) = (1 − eta)·3/2 > 1``: a pitchfork at
+``b = 1/2`` with critical noise ``eta* = 1/3``.  Below it the dynamics
+keeps a metastable level on the initial majority's side (the lower
+point is 0.311 at ``eta = 0.30`` and 0.494 at ``eta = 0.3333``); above
+it only ``b = 1/2`` survives and the majority signal is destroyed.
 
-The module provides the exact map, its fixed points, and a simulation
-runner measuring the stationary majority level; ``test_ext_noisy``
-verifies the bifurcation on both the map and the simulation.
-
-This single-trial runner is the *reference implementation*: ensembles go
-through ``run_ensemble(protocol=NoisyBestOfK(eta), ...)``
-(:mod:`repro.core.protocols`), which batches replicas and — on
-exchangeable hosts — runs the exact η-mixed count chain;
-``tests/test_protocols.py`` enforces distribution equivalence between
-the two.
+The map itself is :func:`repro.core.meanfield.noisy_best_of_k_map`; the
+dynamics runs through ``run_ensemble(protocol=NoisyBestOfK(eta), ...)``
+(:mod:`repro.core.protocols`), which on exchangeable hosts is the exact
+η-mixed count chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
+from repro.util.validation import check_probability
 
-from repro.core.opinions import OPINION_DTYPE
-from repro.graphs.base import Graph
-from repro.util.rng import SeedLike, as_generator
-from repro.util.validation import check_positive_int, check_probability
-
-__all__ = [
-    "CRITICAL_NOISE",
-    "noisy_ideal_step",
-    "noisy_fixed_points",
-    "NoisyRunResult",
-    "noisy_best_of_three_run",
-]
+__all__ = ["CRITICAL_NOISE", "noisy_fixed_points"]
 
 CRITICAL_NOISE: float = 1.0 / 3.0
 """Critical noise rate: below it the mean-field map retains metastable
 near-consensus fixed points; above it only b = 1/2 is stable."""
 
 
-def noisy_ideal_step(b: float, eta: float) -> float:
-    """The noisy mean-field map ``(1−eta)(3b²−2b³) + eta/2``.
-
-    Thin wrapper over the general-``k`` map in
-    :func:`repro.core.meanfield.noisy_best_of_k_map` at ``k = 3``.
-    """
-    from repro.core.meanfield import noisy_best_of_k_map
-
-    return noisy_best_of_k_map(b, eta, 3)
-
-
 def noisy_fixed_points(eta: float) -> list[float]:
     """All fixed points of the noisy map in ``[0, 1]``, sorted.
 
     ``b = 1/2`` is always a fixed point; the other two exist iff
-    ``eta < 1/3`` and are ``1/2 ± √(1 − 3eta) / (2√(1 − eta))`` (roots of
-    ``2(1−eta)b² − 2(1−eta)b + (1−eta) − ... `` reduced by the symmetry
-    ``b ↦ 1−b``).
+    ``eta < 1/3`` and are ``1/2 ± x`` with ``(1 − eta)(3/2 − 2x²) = 1``,
+    i.e. ``x = √(1 − 3eta) / (2√(1 − eta))``.
     """
     eta = check_probability(eta, "eta")
     points = [0.5]
@@ -79,71 +48,3 @@ def noisy_fixed_points(eta: float) -> list[float]:
         offset = math.sqrt(1.0 - 3.0 * eta) / (2.0 * math.sqrt(1.0 - eta))
         points.extend([0.5 - offset, 0.5 + offset])
     return sorted(points)
-
-
-@dataclass
-class NoisyRunResult:
-    """Outcome of a noisy Best-of-3 run.
-
-    Attributes
-    ----------
-    blue_trajectory:
-        Blue counts per round (never reaches an absorbing state for
-        ``eta > 0``; the run always uses the full budget).
-    stationary_blue_fraction:
-        Mean blue fraction over the second half of the run — the
-        metastable level the process settles at.
-    majority_preserved:
-        Whether the stationary level stays on the initial-majority side
-        of 1/2 (the "memory" the sub-critical regime retains).
-    """
-
-    blue_trajectory: np.ndarray
-    stationary_blue_fraction: float
-    majority_preserved: bool
-
-
-def noisy_best_of_three_run(
-    graph: Graph,
-    initial_opinions: np.ndarray,
-    eta: float,
-    *,
-    seed: SeedLike = None,
-    rounds: int = 100,
-) -> NoisyRunResult:
-    """Run ε-noisy Best-of-3 for a fixed number of rounds.
-
-    One round: every vertex draws its 3-sample majority, then a uniform
-    ``eta``-fraction of vertices is resampled to coin flips.
-    """
-    n = graph.num_vertices
-    opinions = np.asarray(initial_opinions)
-    if opinions.shape != (n,):
-        raise ValueError(
-            f"initial_opinions shape {opinions.shape} does not match n={n}"
-        )
-    eta = check_probability(eta, "eta")
-    rounds = check_positive_int(rounds, "rounds")
-    gen = as_generator(seed)
-
-    state = opinions.astype(OPINION_DTYPE, copy=True)
-    vertices = graph.vertex_ids  # cached; no per-run O(n) id allocation
-    trajectory = [int(state.sum())]
-    initially_blue_minority = trajectory[0] * 2 < n
-    for _ in range(rounds):
-        draws = graph.sample_neighbors(vertices, 3, gen)
-        votes = state[draws].sum(axis=1, dtype=np.int64)
-        state = (votes >= 2).astype(OPINION_DTYPE)
-        noisy = gen.random(n) < eta
-        m = int(noisy.sum())
-        if m:
-            state[noisy] = (gen.random(m) < 0.5).astype(OPINION_DTYPE)
-        trajectory.append(int(state.sum()))
-    traj = np.asarray(trajectory, dtype=np.int64)
-    stationary = float(traj[rounds // 2 :].mean() / n)
-    preserved = (stationary < 0.5) == initially_blue_minority
-    return NoisyRunResult(
-        blue_trajectory=traj,
-        stationary_blue_fraction=stationary,
-        majority_preserved=preserved,
-    )

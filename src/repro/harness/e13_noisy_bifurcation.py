@@ -2,11 +2,11 @@
 
 Not in the paper: the natural robustness question its model invites.
 With probability ``eta`` a vertex adopts a coin flip instead of the
-sample majority.  The mean-field map ``(1−eta)(3b²−2b³) + eta/2``
-predicts a pitchfork at ``eta* = 1/3`` (derived via the same ``1/(2√3)``
-gap constant that rules Lemma 4): below it the dynamics remembers the
-initial majority at a metastable level equal to the map's stable fixed
-point; above it the majority signal is destroyed.  The experiment sweeps
+sample majority.  The mean-field map ``(1−eta)·g(b) + eta/2`` with
+``g(b) = 3b²−2b³`` predicts a pitchfork at ``b = 1/2``, where
+``(1−eta)·g′(1/2) = (1−eta)·3/2 = 1``, i.e. ``eta* = 1/3``: below it the
+dynamics remembers the initial majority at a metastable level equal to
+the map's stable fixed point; above it the majority signal is destroyed.  The experiment sweeps
 ``eta`` across the transition and checks simulation against the exact
 fixed points.
 

@@ -9,10 +9,11 @@ import pytest
 
 from repro.baselines.plurality import (
     becchetti_gap_threshold,
-    plurality_run,
-    plurality_step,
+    plurality_ensemble,
     random_plurality_opinions,
 )
+from repro.core.ensemble import run_ensemble
+from repro.core.protocols import Plurality
 from repro.graphs.implicit import CompleteGraph
 
 
@@ -30,6 +31,11 @@ class TestInitialisation:
             random_plurality_opinions(10, np.array([1.0]))
 
 
+def _step(graph, ops, q, rng):
+    """One round of the ``Plurality(q)`` protocol for a single opinion row."""
+    return Plurality(q).step_batch(graph, ops[None, :], rng)[0]
+
+
 class TestStep:
     def test_two_colour_step_matches_best_of_three_drift(self):
         """With q=2 the plurality rule has no 3-way ties, so one round
@@ -41,19 +47,19 @@ class TestStep:
         ops = np.zeros(n, dtype=np.int64)
         ops[: int(0.4 * n)] = 1
         np.random.default_rng(2).shuffle(ops)
-        out = plurality_step(g, ops, np.random.default_rng(3))
+        out = _step(g, ops, 2, np.random.default_rng(3))
         assert (out == 1).mean() == pytest.approx(ideal_step(0.4), abs=0.005)
 
     def test_values_stay_in_range(self):
         g = CompleteGraph(1000)
         ops = random_plurality_opinions(1000, np.array([0.4, 0.3, 0.3]), rng=4)
-        out = plurality_step(g, ops, np.random.default_rng(5))
+        out = _step(g, ops, 3, np.random.default_rng(5))
         assert out.min() >= 0 and out.max() <= 2
 
     def test_consensus_absorbing(self):
         g = CompleteGraph(100)
         ops = np.full(100, 2, dtype=np.int64)
-        out = plurality_step(g, ops, np.random.default_rng(6))
+        out = _step(g, ops, 3, np.random.default_rng(6))
         assert (out == 2).all()
 
     def test_tie_picks_sampled_opinion(self):
@@ -64,8 +70,15 @@ class TestStep:
 
         g = CSRGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         ops = np.array([0, 1, 2], dtype=np.int64)
-        out = plurality_step(g, ops, np.random.default_rng(7))
+        out = _step(g, ops, 3, np.random.default_rng(7))
         assert set(out.tolist()) <= {0, 1, 2}
+
+
+def _run(graph, ops, q, *, seed):
+    return run_ensemble(
+        graph, protocol=Plurality(q), replicas=1, initial_opinions=ops,
+        seed=seed,
+    )
 
 
 class TestRun:
@@ -74,26 +87,32 @@ class TestRun:
         ops = random_plurality_opinions(
             4096, np.array([0.5, 0.25, 0.25]), rng=8
         )
-        res = plurality_run(g, ops, seed=9)
-        assert res.converged
-        assert res.winner == 0
-        assert res.steps <= 60
+        res = _run(g, ops, 3, seed=9)
+        assert res.converged[0]
+        assert res.winners[0] == 0
+        assert res.steps[0] <= 60
 
     def test_count_trajectory_shape(self):
+        # The engine's plurality trajectory is the leading-colour count.
         g = CompleteGraph(512)
         ops = random_plurality_opinions(512, np.array([0.6, 0.4]), rng=10)
-        res = plurality_run(g, ops, seed=11)
-        assert res.count_trajectory.shape == (res.steps + 1, 2)
-        assert (res.count_trajectory.sum(axis=1) == 512).all()
+        res = _run(g, ops, 2, seed=11)
+        traj = res.blue_trajectories[0]
+        assert traj.size == res.steps[0] + 1
+        assert traj[0] == np.bincount(ops).max()
+        assert traj[-1] == 512
 
     def test_q_inferred_and_validated(self):
         g = CompleteGraph(64)
         ops = np.zeros(64, dtype=np.int64)
         ops[0] = 3
-        with pytest.raises(ValueError, match="codes"):
-            plurality_run(g, ops, q=2, seed=12)  # code 3 outside [0, 2)
-        res = plurality_run(g, np.zeros(64, dtype=np.int64), seed=13)
-        assert res.converged and res.winner == 0
+        with pytest.raises(ValueError, match="initial_opinions must be"):
+            _run(g, ops, 2, seed=12)  # code 3 outside [0, 2)
+        # plurality_ensemble takes q from the probability vector.
+        res = plurality_ensemble(
+            g, trials=2, probabilities=np.array([1.0, 0.0]), seed=13
+        )
+        assert res.converged.all() and (res.winners == 0).all()
 
 
 class TestGapThreshold:

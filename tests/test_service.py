@@ -16,10 +16,13 @@ The headline guarantees:
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     MicroBatcher,
@@ -36,11 +39,15 @@ from repro.sweeps import (
     Point,
     ProtocolSpec,
     SweepCache,
+    canonical_point,
     count_chain_width,
     default_cache_dir,
     estimated_cost,
+    point_from_canonical,
     queue_key,
 )
+from repro.service.requests import DEFAULT_MAX_STEPS, DEFAULT_TRIALS
+from repro.sweeps.spec import ADVERSARIAL_STRATEGIES, canonical_json
 from repro.sweeps import runner
 
 
@@ -247,6 +254,168 @@ class TestRequestCanonicalisation:
             seed=9,
         )
         assert spec == direct  # identical points, seeds, and labels
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+_TIE_RULES = st.sampled_from(["keep_self", "random"])
+_THREADS = st.one_of(
+    st.none(), st.sampled_from(["auto", "serial"]), st.integers(0, 8)
+)
+
+_HOSTS = st.one_of(
+    st.builds(lambda n: HostSpec.of("complete", n=n), st.integers(2, 10**6)),
+    st.builds(lambda side: HostSpec.of("rook", side=side), st.integers(2, 64)),
+    st.builds(
+        lambda sizes: HostSpec.of("complete_multipartite", sizes=sizes),
+        st.lists(st.integers(1, 500), min_size=2, max_size=5),
+    ),
+    st.builds(
+        lambda n, p, seed: HostSpec.of("erdos_renyi", n=n, p=p, seed=seed),
+        st.integers(2, 4096),
+        st.floats(0.01, 1.0),
+        st.lists(_SEEDS, min_size=1, max_size=3),
+    ),
+    st.builds(
+        lambda half, bridges: HostSpec.of(
+            "two_clique_bridge", half=half, bridges=bridges
+        ),
+        st.integers(2, 512),
+        st.integers(1, 4),
+    ),
+)
+
+_PROTOCOLS = st.one_of(
+    st.builds(
+        lambda k, tie, threads: ProtocolSpec(
+            kind="best_of_k", k=k, tie_rule=tie, threads=threads
+        ),
+        st.integers(1, 9), _TIE_RULES, _THREADS,
+    ),
+    st.builds(
+        lambda eta, k, tie, threads: ProtocolSpec(
+            kind="noisy_best_of_k", k=k, tie_rule=tie, eta=eta, threads=threads
+        ),
+        st.floats(0.0, 1.0), st.integers(1, 9), _TIE_RULES, _THREADS,
+    ),
+    st.builds(
+        lambda k, threads: ProtocolSpec(
+            kind="async_vs_sync", k=k, threads=threads
+        ),
+        st.integers(1, 9), _THREADS,
+    ),
+    st.builds(
+        lambda z, k, tie, threads: ProtocolSpec(
+            kind="zealot_best_of_k", k=k, tie_rule=tie, zealots=z,
+            threads=threads,
+        ),
+        st.integers(0, 10**5), st.integers(1, 9), _TIE_RULES, _THREADS,
+    ),
+)
+
+_INITS = st.one_of(
+    st.builds(InitSpec.iid, st.floats(0.0, 0.5)),
+    st.builds(InitSpec.count, st.integers(0, 10**6)),
+    st.builds(
+        InitSpec.adversarial,
+        st.integers(0, 10**6),
+        st.sampled_from(ADVERSARIAL_STRATEGIES),
+    ),
+)
+
+_POINTS = st.builds(
+    Point,
+    host=_HOSTS,
+    protocol=_PROTOCOLS,
+    init=_INITS,
+    trials=st.integers(1, 10**4),
+    max_steps=st.integers(1, 10**6),
+    seed=st.lists(_SEEDS, min_size=1, max_size=4).map(tuple),
+    label=st.text(max_size=8),
+)
+
+
+def _protocol_phrasings(k: int, tie: str) -> list:
+    """Every request spelling of ``ProtocolSpec.best_of(k, tie_rule=tie)``."""
+    forms: list = [
+        {"kind": "best_of_k", "k": k, "tie_rule": tie},
+        {"tie_rule": tie, "k": k, "kind": "best_of_k"},
+        f"best-of-{k}-{'keep' if tie == 'keep_self' else 'rand'}",
+    ]
+    if tie == "keep_self":
+        forms += [{"kind": "best_of_k", "k": k}, f"best-of-{k}"]
+        if k == 1:
+            forms.append("voter")
+        if k == 3:
+            forms += [None, {"kind": "best_of_k"}, {}]
+    return forms
+
+
+class TestCanonicalRoundTrip:
+    """Property tests: canonical form is a fixed point, and rephrased
+    requests name one queue entry."""
+
+    @given(point=_POINTS)
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_json_survives_a_round_trip(self, point):
+        text = canonical_json(canonical_point(point))
+        back = point_from_canonical(json.loads(text), label=point.label)
+        assert canonical_json(canonical_point(back)) == text
+        assert back == point
+        assert queue_key(back) == queue_key(point)
+
+    @given(
+        n=st.integers(2, 4096),
+        k=st.integers(1, 9),
+        tie=_TIE_RULES,
+        init=st.one_of(
+            st.floats(0.0, 0.5).map(lambda d: ("delta", d)),
+            st.integers(0, 4096).map(lambda b: ("blue", b)),
+        ),
+        trials=st.integers(1, 50),
+        max_steps=st.integers(1, 5000),
+        seed=_SEEDS,
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rephrased_requests_share_a_queue_key(
+        self, n, k, tie, init, trials, max_steps, seed, data
+    ):
+        field, value = init
+        kind = "iid_delta" if field == "delta" else "exact_count"
+        full = {
+            "host": {"family": "complete", "n": n},
+            "protocol": {"kind": "best_of_k", "k": k, "tie_rule": tie},
+            "init": {"kind": kind, field: value},
+            "trials": trials,
+            "max_steps": max_steps,
+            "seed": [seed],
+        }
+        key = queue_key(parse_point_request(full))
+
+        body = {
+            "host": {"n": n, "family": "complete"},
+            "init": data.draw(
+                st.sampled_from([{field: value}, {field: value, "kind": kind}])
+            ),
+            "seed": data.draw(st.sampled_from([seed, [seed]])),
+            "label": data.draw(st.text(max_size=8)),
+        }
+        protocol = data.draw(st.sampled_from(_protocol_phrasings(k, tie)))
+        if protocol is not None:
+            body["protocol"] = protocol
+        for name, value_, default in (
+            ("trials", trials, DEFAULT_TRIALS),
+            ("max_steps", max_steps, DEFAULT_MAX_STEPS),
+        ):
+            if value_ != default or data.draw(st.booleans()):
+                body[name] = value_
+        if seed == 0 and data.draw(st.booleans()):
+            del body["seed"]
+        if body["init"] == {"delta": 0.1} and data.draw(st.booleans()):
+            del body["init"]
+        order = data.draw(st.permutations(sorted(body)))
+        body = {name: body[name] for name in order}
+        assert queue_key(parse_point_request(body)) == key
 
 
 class TestServiceConfig:
