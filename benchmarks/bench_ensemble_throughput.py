@@ -3,7 +3,7 @@
 Measures replicas/sec for the DESIGN.md §2.3/§2.5 engine ablations:
 
 * **batched vs sequential loop** — the ``(R, n)``-matrix engine against
-  the old per-trial Python loop around ``BestOfKDynamics.run`` (same
+  the old per-trial Python round loop (:func:`sequential_loop`; same
   protocol, same initial-condition law);
 * **count chains vs dense** — the exact count-chain kernels (``K_n``,
   complete multipartite, two-clique bridge) against the per-vertex
@@ -41,7 +41,7 @@ import time
 
 import numpy as np
 
-from repro.core.dynamics import BestOfKDynamics
+from repro.core.dynamics import step_best_of_k
 from repro.core.ensemble import run_ensemble, step_best_of_k_batch
 from repro.core.opinions import random_opinions
 from repro.core.theorem import verify_theorem1
@@ -71,17 +71,24 @@ __all__ = [
 
 
 def sequential_loop(graph, *, trials, delta, seed, max_steps=500, k=3):
-    """The pre-engine baseline: one ``BestOfKDynamics.run`` per trial."""
-    dyn = BestOfKDynamics(graph, k=k)
+    """The pre-engine baseline: one double-buffered round loop per trial,
+    stepping with :func:`step_best_of_k` until consensus or *max_steps*.
+    Returns the number of trials that reached consensus."""
     n = graph.num_vertices
     gens = spawn_generators(seed, 2 * trials)
     converged = 0
     for i in range(trials):
-        init = random_opinions(n, delta, rng=gens[2 * i])
-        res = dyn.run(
-            init, seed=gens[2 * i + 1], max_steps=max_steps, keep_final=False
-        )
-        converged += int(res.converged)
+        current = random_opinions(n, delta, rng=gens[2 * i])
+        buffer = np.empty_like(current)
+        rng = gens[2 * i + 1]
+        blue = int(np.count_nonzero(current))
+        steps = 0
+        while 0 < blue < n and steps < max_steps:
+            buffer = step_best_of_k(graph, current, k, rng, out=buffer)
+            current, buffer = buffer, current
+            blue = int(np.count_nonzero(current))
+            steps += 1
+        converged += int(blue in (0, n))
     return converged
 
 
@@ -718,12 +725,11 @@ def test_engine_batched_round_kn(benchmark):
 
 def test_engine_count_chain_round(benchmark):
     """One count-chain round for 10^4 replicas on K_{10^6}."""
-    from repro.core.ensemble import count_chain_step
-
     n = 10**6
     rng = np.random.default_rng(1)
-    B = rng.integers(1, n, size=10**4)
-    benchmark(lambda: count_chain_step(B, n, 3, rng))
+    B = rng.integers(1, n, size=(10**4, 1))
+    kernel = CompleteGraph(n).count_chain_kernel()
+    benchmark(lambda: kernel.step(B, 3, rng))
 
 
 def test_engine_full_ensemble_auto(benchmark):

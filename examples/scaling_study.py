@@ -12,9 +12,10 @@ Run:  python examples/scaling_study.py
 import numpy as np
 
 from repro.analysis.asciiplot import line_plot
-from repro.analysis.experiments import run_consensus_ensemble
+from repro.analysis.experiments import ConsensusEnsemble
 from repro.analysis.fitting import fit_growth_models
 from repro.analysis.tables import format_table
+from repro.core.ensemble import run_ensemble
 from repro.core.recursions import consensus_time_bound
 from repro.graphs.implicit import CompleteGraph, RookGraph
 
@@ -22,14 +23,22 @@ DELTA = 0.1
 TRIALS = 30
 
 
+def ensemble(graph, seed) -> ConsensusEnsemble:
+    """``TRIALS`` Best-of-3 runs from the delta-biased start, summarised."""
+    return ConsensusEnsemble.from_ensemble_result(
+        run_ensemble(
+            graph, replicas=TRIALS, delta=DELTA, seed=seed,
+            record_trajectories=False,
+        )
+    )
+
+
 def main() -> None:
     rows = []
     sizes, means = [], []
     for exp in (8, 10, 12, 14, 16, 18):
         n = 2**exp
-        ens = run_consensus_ensemble(
-            CompleteGraph(n), trials=TRIALS, delta=DELTA, seed=(1, exp)
-        )
+        ens = ensemble(CompleteGraph(n), seed=(1, exp))
         budget = consensus_time_bound(n, n - 1, DELTA)
         rows.append(
             {
@@ -46,7 +55,7 @@ def main() -> None:
 
     for m in (32, 64, 128, 256):
         g = RookGraph(m)
-        ens = run_consensus_ensemble(g, trials=TRIALS, delta=DELTA, seed=(2, m))
+        ens = ensemble(g, seed=(2, m))
         rows.append(
             {
                 "host": f"Rook {m}x{m}",

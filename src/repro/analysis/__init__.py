@@ -9,10 +9,7 @@ monospace tables/plots for terminals and EXPERIMENTS.md
 (:mod:`repro.analysis.tables`, :mod:`repro.analysis.asciiplot`).
 """
 
-from repro.analysis.experiments import (
-    ConsensusEnsemble,
-    run_consensus_ensemble,
-)
+from repro.analysis.experiments import ConsensusEnsemble
 from repro.analysis.fitting import (
     GrowthFit,
     fit_growth_models,
@@ -25,17 +22,11 @@ from repro.analysis.stats import (
 )
 from repro.analysis.tables import format_table
 from repro.analysis.asciiplot import line_plot
-from repro.analysis.trajectories import (
-    TrajectoryBundle,
-    collect_trajectories,
-    hitting_times,
-)
+from repro.analysis.trajectories import TrajectoryBundle, hitting_times
 
 __all__ = [
     "ConsensusEnsemble",
-    "run_consensus_ensemble",
     "TrajectoryBundle",
-    "collect_trajectories",
     "hitting_times",
     "wilson_interval",
     "bootstrap_mean_ci",

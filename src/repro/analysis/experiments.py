@@ -1,34 +1,26 @@
-"""Ensemble runners: many independent dynamics trials, summarised.
+"""Ensemble summaries: many independent dynamics trials, summarised.
 
 A *trial* = fresh initial opinions + fresh dynamics randomness, both from
 spawned independent streams.  The ensemble summary carries everything the
 experiment harness reports: win counts with Wilson intervals, consensus-
 time statistics, and the full per-trial arrays for downstream fitting.
 
-Since the batched-engine rewire (DESIGN.md §2.3) the trials are *not* run
-one at a time: they go through :func:`repro.core.ensemble.run_ensemble`,
-which advances all live replicas per round (and collapses complete-graph
-hosts to the exact O(1)-per-round count chain).  The summary statistics
-are distributionally identical to the old per-trial loop; only the stream
-consumption pattern differs, so per-seed values changed once at the
-rewire.
+The trials themselves run in one :func:`repro.core.ensemble.run_ensemble`
+call, which advances all live replicas per round (and collapses
+complete-graph hosts to the exact O(1)-per-round count chain);
+:meth:`ConsensusEnsemble.from_ensemble_result` summarises its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.core.dynamics import BestOfKDynamics
-from repro.core.ensemble import EnsembleResult, run_ensemble
+from repro.core.ensemble import EnsembleResult
 from repro.core.opinions import BLUE, RED
-from repro.graphs.base import Graph
-from repro.util.rng import SeedLike
-from repro.util.validation import check_positive_int
 
-__all__ = ["ConsensusEnsemble", "run_consensus_ensemble"]
+__all__ = ["ConsensusEnsemble"]
 
 
 @dataclass
@@ -57,8 +49,8 @@ class ConsensusEnsemble:
         """Summarise a batched-engine :class:`EnsembleResult`.
 
         The converged-trial filtering convention lives here, once, for
-        every consumer of the engine (the ensemble wrappers below, the
-        sweep runner).
+        every consumer of the engine (the sweep runner, the harness,
+        scripts that call ``run_ensemble`` directly).
         """
         conv = result.converged
         return cls(
@@ -106,64 +98,3 @@ class ConsensusEnsemble:
     @property
     def std_steps(self) -> float:
         return float(self.steps.std(ddof=1)) if self.steps.size > 1 else 0.0
-
-
-def run_consensus_ensemble(
-    graph: Graph,
-    *,
-    trials: int,
-    seed: SeedLike = None,
-    dynamics_factory: Callable[[Graph], BestOfKDynamics] | None = None,
-    initializer: Callable[[int, np.random.Generator], np.ndarray] | None = None,
-    delta: float | None = None,
-    max_steps: int = 10_000,
-) -> ConsensusEnsemble:
-    """Run *trials* independent dynamics runs on *graph* and summarise.
-
-    Parameters
-    ----------
-    graph:
-        Host graph (shared across trials; only the randomness varies, as
-        in the paper's quenched-graph setting).
-    trials, seed, max_steps:
-        Ensemble controls.
-    dynamics_factory:
-        Builds the protocol from the graph (default: Best-of-3); must
-        return a plain :class:`BestOfKDynamics`, whose ``k`` and
-        ``tie_rule`` configure the engine.
-    initializer:
-        ``(n, rng) -> opinions``; default draws the paper's i.i.d.
-        configuration with bias *delta* (which must then be given).
-    delta:
-        Bias for the default initializer.
-    """
-    trials = check_positive_int(trials, "trials")
-    if initializer is None and delta is None:
-        raise ValueError("provide either initializer or delta")
-
-    if dynamics_factory is None:
-        def dynamics_factory(g: Graph) -> BestOfKDynamics:
-            return BestOfKDynamics(g, k=3)
-
-    dyn = dynamics_factory(graph)
-    # Exact type check, not isinstance: a subclass may override run()/step()
-    # with different dynamics, which the engine would silently ignore.
-    if type(dyn) is not BestOfKDynamics:
-        raise TypeError(
-            "dynamics_factory must return a BestOfKDynamics (not a "
-            f"subclass), got {type(dyn).__name__}"
-        )
-    # One engine call simulates every trial (and CompleteGraph hosts
-    # collapse to the exact count chain).
-    ens = run_ensemble(
-        dyn.graph,
-        replicas=trials,
-        k=dyn.k,
-        tie_rule=dyn.tie_rule,
-        seed=seed,
-        max_steps=max_steps,
-        delta=delta if initializer is None else None,
-        initializer=initializer,
-        record_trajectories=False,
-    )
-    return ConsensusEnsemble.from_ensemble_result(ens)

@@ -1,26 +1,24 @@
 """Trajectory-ensemble analysis: aligned means, bands, and hitting times.
 
 E3-style experiments compare a *single* trajectory against the recursion;
-this module supports the ensemble view: run many trajectories, align them
-on round index (padding absorbed runs with their terminal value), and
-compute pointwise means/quantile bands plus empirical hitting-time
-distributions — the format used for trajectory figures and the noisy-
-dynamics stationarity analysis (E13).
+this module supports the ensemble view: trajectories from one
+``run_ensemble(..., max_steps=horizon, record_trajectories=True)`` call,
+aligned on round index by :meth:`EnsembleResult.fraction_matrix`
+(absorbed runs padded with their terminal value), then pointwise
+means/quantile bands plus empirical hitting-time distributions — the
+format used for trajectory figures and the noisy-dynamics stationarity
+analysis (E13)::
+
+    bundle = TrajectoryBundle(ens.fraction_matrix(horizon))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.core.ensemble import run_ensemble
-from repro.graphs.base import Graph
-from repro.util.rng import SeedLike
-from repro.util.validation import check_positive_int
-
-__all__ = ["TrajectoryBundle", "collect_trajectories", "hitting_times"]
+__all__ = ["TrajectoryBundle", "hitting_times"]
 
 
 @dataclass
@@ -71,43 +69,6 @@ class TrajectoryBundle:
                 f"{reference.shape}"
             )
         return float(np.max(np.abs(self.mean() - reference)))
-
-
-def collect_trajectories(
-    graph: Graph,
-    *,
-    trials: int,
-    horizon: int,
-    delta: float | None = None,
-    initializer: Callable[[int, np.random.Generator], np.ndarray] | None = None,
-    k: int = 3,
-    seed: SeedLike = None,
-) -> TrajectoryBundle:
-    """Run *trials* Best-of-k trajectories for *horizon* rounds each.
-
-    Runs that absorb early are padded with their terminal fraction; runs
-    that do not absorb within *horizon* are truncated there (no
-    consensus requirement — this is a trajectory tool, not a consensus
-    ensemble).
-    """
-    trials = check_positive_int(trials, "trials")
-    horizon = check_positive_int(horizon, "horizon")
-    if initializer is None and delta is None:
-        raise ValueError("provide either initializer or delta")
-    # All trials advance together through the batched engine; on K_n the
-    # count-chain path records the exact blue-count trajectories without
-    # touching per-vertex state.
-    ens = run_ensemble(
-        graph,
-        replicas=trials,
-        k=k,
-        seed=seed,
-        max_steps=horizon,
-        delta=delta if initializer is None else None,
-        initializer=initializer,
-        record_trajectories=True,
-    )
-    return TrajectoryBundle(fractions=ens.fraction_matrix(horizon))
 
 
 def hitting_times(bundle: TrajectoryBundle, threshold: float) -> np.ndarray:

@@ -22,15 +22,12 @@ import math
 import numpy as np
 
 from repro.core.dynamics import BestOfKDynamics, TieRule
-from repro.core.ensemble import EnsembleResult, run_ensemble
 from repro.core.opinions import BLUE, RED
 from repro.graphs.base import Graph
 from repro.graphs.csr import CSRGraph
-from repro.util.rng import SeedLike
 
 __all__ = [
     "best_of_two_dynamics",
-    "best_of_two_ensemble",
     "cooper_imbalance_threshold",
     "satisfies_cooper_condition",
     "satisfies_spectral_condition",
@@ -42,33 +39,6 @@ def best_of_two_dynamics(
 ) -> BestOfKDynamics:
     """Best-of-2 as a :class:`BestOfKDynamics` with the chosen tie rule."""
     return BestOfKDynamics(graph, k=2, tie_rule=tie_rule)
-
-
-def best_of_two_ensemble(
-    graph: Graph,
-    *,
-    trials: int,
-    initial_blue: int,
-    tie_rule: TieRule = TieRule.KEEP_SELF,
-    seed: SeedLike = None,
-    max_steps: int = 2000,
-) -> EnsembleResult:
-    """Batched Best-of-2 ensemble from an exact initial count.
-
-    E11's imbalance-threshold sweep measures red-win rates over many
-    conditioned starts; one engine call replaces its per-trial run loop
-    (uniform placement per trial, independent spawned streams).
-    """
-    return run_ensemble(
-        graph,
-        replicas=trials,
-        k=2,
-        tie_rule=tie_rule,
-        seed=seed,
-        max_steps=max_steps,
-        initial_blue_counts=initial_blue,
-        record_trajectories=False,
-    )
 
 
 def cooper_imbalance_threshold(n: int, d: int, *, K: float = 1.0) -> float:

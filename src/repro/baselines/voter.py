@@ -19,48 +19,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dynamics import BestOfKDynamics
-from repro.core.ensemble import EnsembleResult, run_ensemble
 from repro.core.opinions import RED
-from repro.core.protocols import Voter
 from repro.graphs.base import Graph
-from repro.util.rng import SeedLike
 
-__all__ = ["voter_dynamics", "voter_win_probability", "voter_ensemble"]
+__all__ = ["voter_dynamics", "voter_win_probability"]
 
 
 def voter_dynamics(graph: Graph) -> BestOfKDynamics:
     """The voter model as a :class:`BestOfKDynamics` with ``k = 1``."""
     return BestOfKDynamics(graph, k=1)
-
-
-def voter_ensemble(
-    graph: Graph,
-    *,
-    trials: int,
-    initial_blue: int,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> EnsembleResult:
-    """Batched voter-model ensemble from an exact initial count.
-
-    A thin wrapper over the engine with the
-    :class:`~repro.core.protocols.Voter` protocol (``BestOfK(1)``): all
-    trials advance together — essential for the voter model, whose
-    Θ(n)-scale consensus times made the old per-trial loop the slowest
-    part of E8's win-law check.  *max_steps* defaults to ``100·n`` (the
-    coalescing-walk scale on expanders).
-    """
-    if max_steps is None:
-        max_steps = 100 * graph.num_vertices
-    return run_ensemble(
-        graph,
-        protocol=Voter(),
-        replicas=trials,
-        seed=seed,
-        max_steps=max_steps,
-        initial_blue_counts=initial_blue,
-        record_trajectories=False,
-    )
 
 
 def voter_win_probability(graph: Graph, opinions: np.ndarray, colour: int = RED) -> float:

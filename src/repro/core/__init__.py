@@ -32,7 +32,6 @@ from repro.core.dynamics import (
 from repro.core.ensemble import (
     EnsembleResult,
     build_initial_matrix,
-    count_chain_step,
     majority_win_probability,
     run_ensemble,
     step_best_of_k_batch,
@@ -119,7 +118,6 @@ __all__ = [
     "run_ensemble",
     "step_best_of_k_batch",
     "build_initial_matrix",
-    "count_chain_step",
     "majority_win_probability",
     "binomial_draw",
     "AdoptionLaw",

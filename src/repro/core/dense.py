@@ -71,7 +71,10 @@ is this module's ``R = 1`` round (``serial_speedup_vs_loop`` of
 2-vCPU host); threading past this threshold is for the extra cores, not
 to dodge a slow serial path.  The
 threshold is a pure function of the workload, so the decision — and
-therefore the result bytes — is machine-independent.
+therefore the result bytes — is machine-independent: a one-core host
+runs the threaded layout with one worker, paying the block overhead
+(rook-128 at ``R = 96``: up to ~1.2× the serial layout's time) so that it
+writes the same bytes under a cache key as every other host.
 """
 
 DENSE_BLOCKS_TARGET = 16
@@ -107,18 +110,17 @@ def resolve_dense_threads(
     Booleans are rejected: ``True`` is not a worker count.
 
     ``None`` is the auto policy: thread exactly when the per-round
-    sample count ``R·n·k`` reaches :data:`DENSE_AUTO_THREAD_MIN_SAMPLES`
-    *and* more than one core exists — a single-worker threaded layout
-    can only pay block overhead, so auto never picks it (the
-    never-slower-than-serial routing contract).  ``"auto"`` always
-    threads, with ``min(cores, MAX_AUTO_THREADS)`` workers; ``"serial"``
-    or ``0`` forces the legacy layout; an integer ≥ 1 threads with that
+    sample count ``R·n·k`` reaches :data:`DENSE_AUTO_THREAD_MIN_SAMPLES`,
+    with ``min(cores, MAX_AUTO_THREADS)`` workers — one on a one-core
+    host.  The layout, and with it the result bytes, is a function of
+    the workload alone; only the worker count follows the machine.
+    ``"auto"`` always threads, with that many workers; ``"serial"`` or
+    ``0`` forces the legacy layout; an integer ≥ 1 threads with that
     many workers.
     """
     if threads is None:
         if n * k * replicas >= DENSE_AUTO_THREAD_MIN_SAMPLES:
-            workers = _auto_workers()
-            return workers if workers >= 2 else 0
+            return _auto_workers()
         return 0
     if threads == "auto":
         return _auto_workers()

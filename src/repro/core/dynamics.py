@@ -13,11 +13,9 @@ Implementation notes (hpc-parallel guide compliance):
   sample tensor + one gather + one vote reduction.  No Python-level loop
   over vertices; the per-round cost is a handful of vectorised NumPy
   kernels.
-* Opinion arrays are ``uint8`` and updates write into a preallocated
-  buffer (in-place idiom), so a long run allocates O(1) beyond the
-  trajectory record.
-* Consensus states are absorbing: a unanimous sample is guaranteed, so the
-  run loop exits as soon as the blue count hits ``0`` or ``n``.
+* :meth:`BestOfKDynamics.run` owns no loop: it is one replica of the
+  ensemble engine's dense loop, so a run and an ``R = 1`` engine pass
+  over the same generator are the same computation.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.opinions import BLUE, OPINION_DTYPE, RED
+from repro.core.opinions import OPINION_DTYPE, RED
 from repro.graphs.base import Graph
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int
@@ -201,10 +199,17 @@ class BestOfKDynamics:
     ) -> RunResult:
         """Run until consensus or *max_steps*, recording the blue count.
 
-        The loop double-buffers two uint8 arrays; consensus is detected
-        from the blue count (0 or n), which is exact because consensus is
-        absorbing under every Best-of-k rule.
+        One replica of the engine's dense loop
+        (:func:`repro.core.ensemble._run_batched`), driven by
+        ``as_generator(seed)`` itself rather than by ``run_ensemble``'s
+        spawned streams, so a seeded run draws exactly what one
+        :func:`step_best_of_k` per round from that generator draws.
         """
+        # Imported here: the engine imports :class:`TieRule` from this module.
+        from repro.core.dense import DEFAULT_BATCH_BYTES
+        from repro.core.ensemble import _run_batched
+        from repro.core.protocols import BestOfK
+
         max_steps = check_positive_int(max_steps, "max_steps")
         n = self.graph.num_vertices
         if initial_opinions.shape != (n,):
@@ -212,27 +217,19 @@ class BestOfKDynamics:
                 f"initial_opinions shape {initial_opinions.shape} does not "
                 f"match graph n={n}"
             )
-        rng = as_generator(seed)
-        current = initial_opinions.astype(OPINION_DTYPE, copy=True)
-        buffer = np.empty_like(current)
-        trajectory = [int(np.count_nonzero(current))]
-        steps = 0
-        while 0 < trajectory[-1] < n and steps < max_steps:
-            buffer = step_best_of_k(
-                self.graph, current, self.k, rng, tie_rule=self.tie_rule, out=buffer
-            )
-            current, buffer = buffer, current
-            trajectory.append(int(np.count_nonzero(current)))
-            steps += 1
-        blue = trajectory[-1]
-        converged = blue == 0 or blue == n
-        winner = (BLUE if blue == n else RED) if converged else None
+        start = initial_opinions.astype(OPINION_DTYPE, copy=True)[None]
+        res = _run_batched(
+            self.graph, BestOfK(self.k, tie_rule=self.tie_rule), start,
+            as_generator(seed), max_steps, True, keep_final,
+            DEFAULT_BATCH_BYTES,
+        )
+        winner = int(res.winners[0])
         return RunResult(
-            converged=converged,
-            winner=winner,
-            steps=steps,
-            blue_trajectory=np.asarray(trajectory, dtype=np.int64),
-            final_opinions=current if keep_final else None,
+            converged=bool(res.converged[0]),
+            winner=winner if winner >= 0 else None,
+            steps=int(res.steps[0]),
+            blue_trajectory=res.blue_trajectories[0],
+            final_opinions=res.final_opinions[0] if keep_final else None,
             n=n,
         )
 

@@ -1,11 +1,9 @@
 """Batched ensemble engine: ``R`` replicas per round, not ``R`` run loops.
 
-Every ensemble consumer in the library (the experiment harness, Theorem 1
-verification, trajectory bundles, the baselines) used to drive Monte-Carlo
-replicas through a per-trial Python loop around
-:meth:`repro.core.dynamics.BestOfKDynamics.run`.  This module replaces
-that with a single engine that advances all live replicas together
-(DESIGN.md §2.3):
+This module is the library's one way into the dynamics: the experiment
+harness, Theorem 1 verification, the sweep runner, the service and
+:meth:`repro.core.dynamics.BestOfKDynamics.run` (one replica of the dense
+loop below) all advance their replicas through it (DESIGN.md §2.3):
 
 * **Batched dense path** — the ensemble state is one ``(R, n)`` ``uint8``
   matrix; one round is one batched neighbour draw
@@ -39,10 +37,11 @@ the engine owns the loop, compaction, and bookkeeping.  Passing
 ``k``/``tie_rule`` instead of a protocol builds the default ``BestOfK``
 and is unchanged draw-for-draw from the pre-Protocol engine.
 
-Randomness: the engine consumes one generator for the whole batch, so
-results are deterministic given a seed but not bitwise-identical to the
-old sequential loop; equivalence is distributional (covered by
-``tests/test_core_ensemble.py``, ``tests/test_count_chain_kernels.py``
+Randomness: ``run_ensemble`` spawns separate initial-state and dynamics
+streams from its seed and consumes one dynamics generator for the whole
+batch, so results are deterministic given a seed but not bitwise-identical
+to ``R`` independent single runs; equivalence is distributional (covered
+by ``tests/test_core_ensemble.py``, ``tests/test_count_chain_kernels.py``
 and ``tests/test_protocols.py``).
 """
 
@@ -64,7 +63,6 @@ from repro.core.dynamics import TieRule
 from repro.core.kernels import (
     CountChainKernel,
     binomial_draw,
-    count_chain_step,
     majority_win_probability,
 )
 from repro.core.opinions import (
@@ -88,7 +86,6 @@ __all__ = [
     "EnsembleResult",
     "majority_win_probability",
     "binomial_draw",
-    "count_chain_step",
     "step_best_of_k_batch",
     "build_initial_matrix",
     "run_ensemble",

@@ -74,7 +74,6 @@ __all__ = [
     "GAUSSIAN_REGIME_THRESHOLD",
     "binomial_draw",
     "majority_win_probability",
-    "count_chain_step",
     "AdoptionLaw",
     "MajorityLaw",
     "NoisyLaw",
@@ -646,31 +645,3 @@ class TwoCliqueBridgeKernel(CountChainKernel):
             q = np.where(state[:, col] == BLUE, q_blue[:, col], q_red[:, col])
             out[:, col] = 1 if pinned[col] else rng.random(len(state)) < q
         return out
-
-
-def count_chain_step(
-    blue_counts: np.ndarray,
-    n: int,
-    k: int,
-    rng: np.random.Generator,
-    *,
-    tie_rule: TieRule = TieRule.KEEP_SELF,
-    transition: AdoptionLaw | None = None,
-    pinned: int = 0,
-) -> np.ndarray:
-    """One exact Best-of-k round of the ``K_n`` blue-count chain.
-
-    :meth:`CompleteKernel.step` over a replica axis: *blue_counts* is
-    ``(R,)`` and one call advances every replica.  Above the
-    :data:`GAUSSIAN_REGIME_THRESHOLD` the binomials come from
-    :func:`binomial_draw`'s Gaussian regime, so the chain keeps running
-    at ``n`` far beyond 2³¹.  *transition* swaps the adoption law
-    (default :class:`MajorityLaw`); *pinned* freezes that many blue
-    vertices (zealots) out of the update while keeping them visible to
-    everyone's samples.
-    """
-    B = np.asarray(blue_counts, dtype=np.int64)
-    return CompleteKernel(n).step(
-        B.reshape(-1, 1), k, rng, tie_rule=tie_rule, transition=transition,
-        pinned=[pinned],
-    ).reshape(B.shape)

@@ -186,25 +186,6 @@ class ServiceApp:
 
     # -- handlers ------------------------------------------------------
 
-    def _with_engine_threads(self, point):
-        """Apply the service's dense-thread default to an unpinned point.
-
-        A request whose protocol pins ``threads`` wins; otherwise the
-        config's ``engine_threads`` (``REPRO_SERVICE_THREADS``) is
-        stamped into the point *before* caching/queueing, because the
-        thread layout is part of the result bytes — two layouts must not
-        share a cache entry.
-        """
-        default = self.config.engine_threads
-        if default is None or point.protocol.threads is not None:
-            return point
-        import dataclasses
-
-        return dataclasses.replace(
-            point,
-            protocol=dataclasses.replace(point.protocol, threads=default),
-        )
-
     def _health(self, match, query, body) -> Response:
         return Response(
             200,
@@ -219,7 +200,7 @@ class ServiceApp:
         return Response(200, stats)
 
     def _ensemble(self, match, query, body) -> Response:
-        point = self._with_engine_threads(parse_point_request(body))
+        point = parse_point_request(body)
         payload, cached = self.engine.execute(point)
         (row,) = sweep_summary_rows([(point, payload)])
         return Response(
@@ -233,9 +214,7 @@ class ServiceApp:
         )
 
     def _compare(self, match, query, body) -> Response:
-        points = [
-            self._with_engine_threads(p) for p in parse_compare_request(body)
-        ]
+        points = parse_compare_request(body)
         pairs = []
         cached_flags = []
         for point in points:
@@ -260,15 +239,6 @@ class ServiceApp:
 
     def _submit_sweep(self, match, query, body) -> Response:
         spec = parse_sweep_request(body)
-        if self.config.engine_threads is not None:
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                points=tuple(
-                    self._with_engine_threads(p) for p in spec.points
-                ),
-            )
         job_id, created = self.jobs.submit(spec)
         status = self.jobs.status(job_id)
         return Response(

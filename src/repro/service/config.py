@@ -14,15 +14,15 @@ Recognised variables::
     REPRO_SERVICE_SPOOL             job spool root      (default ~/.cache/repro-service-jobs)
     REPRO_SERVICE_WORKERS           subprocess workers per sweep job
                                     (default 0: jobs drain in-service threads)
-    REPRO_SERVICE_THREADS           dense-engine thread layout for requests
-                                    that do not pin their own: ``auto``,
-                                    ``serial``, or a worker count
-                                    (default: the engine's auto policy)
     REPRO_SERVICE_BATCH_WINDOW_MS   micro-batch coalescing window
     REPRO_SERVICE_LEASE_TTL_S       job queue lease duration
     REPRO_SERVICE_MAX_ATTEMPTS      executions per point before quarantine
     REPRO_CACHE_DIR                 response/result cache volume
                                     (read by repro.sweeps.cache, not here)
+
+Nothing here configures the engine itself: its dense thread layout
+follows the workload (DESIGN.md §2.10), so a request's result bytes and
+cache key depend on the request alone, never on the serving process.
 
 The cache directory is deliberately *not* a service-specific variable:
 ``REPRO_CACHE_DIR`` is honoured by
@@ -56,24 +56,8 @@ class ServiceConfig:
     batch_window_s: float = 0.002
     lease_ttl_s: float = 60.0
     max_attempts: int = 3
-    engine_threads: int | str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine_threads is not None:
-            # Same grammar as ProtocolSpec.threads / run_ensemble.
-            valid = (
-                self.engine_threads in ("auto", "serial")
-                or (
-                    isinstance(self.engine_threads, int)
-                    and not isinstance(self.engine_threads, bool)
-                    and self.engine_threads >= 0
-                )
-            )
-            if not valid:
-                raise ValueError(
-                    "engine_threads must be 'auto', 'serial', or an int "
-                    f">= 0, got {self.engine_threads!r}"
-                )
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
         if not 0 <= self.job_workers <= MAX_JOB_WORKERS:
@@ -120,11 +104,6 @@ class ServiceConfig:
             values["lease_ttl_s"] = float(env["REPRO_SERVICE_LEASE_TTL_S"])
         if env.get("REPRO_SERVICE_MAX_ATTEMPTS"):
             values["max_attempts"] = int(env["REPRO_SERVICE_MAX_ATTEMPTS"])
-        if env.get("REPRO_SERVICE_THREADS"):
-            raw = env["REPRO_SERVICE_THREADS"]
-            values["engine_threads"] = (
-                raw if raw in ("auto", "serial") else int(raw)
-            )
         known = {f.name for f in fields(cls)}
         for key, value in overrides.items():
             if key not in known:

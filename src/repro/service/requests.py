@@ -21,10 +21,10 @@ host      ``{"family": "complete", "n": 4096}`` — family plus the
           family's constructor params, flat.
 protocol  a string (``"voter"``, ``"best-of-3"``, ``"best-of-2-rand"``)
           or a dict: ``{"kind": "best_of_k", "k": 3, "tie_rule":
-          "keep_self", "eta": ..., "zealots": ..., "threads": ...}``
-          with every field optional but ``kind``-consistent.  Default:
-          ``best-of-3``; ``threads`` pins the dense engine's layout
-          (``"auto"``/``"serial"``/int) instead of the service default.
+          "keep_self", "eta": ..., "zealots": ...}`` with every field
+          optional but ``kind``-consistent.  Default: ``best-of-3``.
+          Engine execution settings are not request fields: a result
+          depends on the point alone.
 init      sugar ``{"delta": 0.1}`` (i.i.d. bias) or ``{"blue": 100}``
           (exact count), or explicit ``{"kind": "adversarial", "blue":
           100, "strategy": "high_degree"}``.  Default: ``delta=0.1``.
@@ -128,12 +128,12 @@ def parse_protocol(value: Any) -> ProtocolSpec:
     body = _require_mapping(value, "protocol")
     _reject_unknown(
         body,
-        frozenset({"kind", "k", "tie_rule", "eta", "zealots", "threads"}),
+        frozenset({"kind", "k", "tie_rule", "eta", "zealots"}),
         "protocol",
     )
     kwargs = {
         k: body[k]
-        for k in ("kind", "k", "tie_rule", "eta", "zealots", "threads")
+        for k in ("kind", "k", "tie_rule", "eta", "zealots")
         if k in body
     }
     try:

@@ -233,7 +233,6 @@ def _run_shared_init(
             max_steps=point.max_steps,
             initial_opinions=matrix,
             record_trajectories=protocol.record_trajectories,
-            threads=point.protocol.threads,
         )
         payload[name] = protocol.summarize_component(res)
     return payload
@@ -264,7 +263,6 @@ def execute_point(point: Point) -> "ConsensusEnsemble | dict":
         seed=point.seed,
         max_steps=point.max_steps,
         record_trajectories=built.record_trajectories,
-        threads=point.protocol.threads,
         **_init_kwargs(point, graph),
     )
     payload = built.summarize(res)

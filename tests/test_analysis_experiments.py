@@ -1,14 +1,23 @@
-"""Tests for the ensemble runner."""
+"""Tests for the ensemble summary over engine runs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_consensus_ensemble
-from repro.core.dynamics import BestOfKDynamics
+from repro.analysis.experiments import ConsensusEnsemble
+from repro.core.ensemble import run_ensemble
 from repro.core.opinions import RED
 from repro.graphs.implicit import CompleteGraph
+
+
+def run_consensus_ensemble(graph, *, trials, seed, **kw) -> ConsensusEnsemble:
+    """*trials* Best-of-3 runs through the engine, summarised."""
+    return ConsensusEnsemble.from_ensemble_result(
+        run_ensemble(
+            graph, replicas=trials, seed=seed, record_trajectories=False, **kw
+        )
+    )
 
 
 class TestEnsemble:
@@ -49,34 +58,6 @@ class TestEnsemble:
         assert (ens.steps == 0).all()
         assert (ens.winners == RED).all()
 
-    def test_custom_dynamics_factory(self):
-        g = CompleteGraph(256)
-        made = []
-
-        def factory(graph):
-            dyn = BestOfKDynamics(graph, k=5)
-            made.append(dyn)
-            return dyn
-
-        run_consensus_ensemble(
-            g, trials=2, delta=0.2, seed=5, dynamics_factory=factory
-        )
-        assert len(made) == 1  # one dynamics object reused across trials
-
-    def test_factory_must_return_plain_dynamics(self):
-        """The engine runs ``k``/``tie_rule`` only, so anything that could
-        carry other dynamics (a subclass, a duck type) is refused."""
-
-        class Custom(BestOfKDynamics):
-            pass
-
-        g = CompleteGraph(64)
-        for factory in (Custom, lambda graph: object()):
-            with pytest.raises(TypeError, match="dynamics_factory"):
-                run_consensus_ensemble(
-                    g, trials=2, delta=0.2, seed=5, dynamics_factory=factory
-                )
-
     def test_unconverged_counted(self):
         g = CompleteGraph(4096)
         ens = run_consensus_ensemble(g, trials=4, delta=0.01, seed=6, max_steps=1)
@@ -86,7 +67,7 @@ class TestEnsemble:
         assert ens.max_steps == 0
 
     def test_missing_delta_and_initializer_rejected(self):
-        with pytest.raises(ValueError, match="initializer or delta"):
+        with pytest.raises(ValueError, match="exactly one of delta, initializer"):
             run_consensus_ensemble(CompleteGraph(64), trials=2, seed=7)
 
     def test_win_interval(self):

@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.trajectories import (
-    TrajectoryBundle,
-    collect_trajectories,
-    hitting_times,
-)
+from repro.analysis.trajectories import TrajectoryBundle, hitting_times
+from repro.core.ensemble import run_ensemble
 from repro.core.recursions import ideal_trajectory
 from repro.graphs.implicit import CompleteGraph
+
+
+def collect_trajectories(graph, *, trials, horizon, seed=None, **init):
+    """*trials* Best-of-3 trajectories of *horizon* rounds, aligned."""
+    ens = run_ensemble(
+        graph, replicas=trials, seed=seed, max_steps=horizon,
+        record_trajectories=True, **init,
+    )
+    return TrajectoryBundle(ens.fraction_matrix(horizon))
 
 
 class TestCollect:
@@ -60,7 +66,7 @@ class TestCollect:
         assert (bundle.fractions == 0).all()
 
     def test_missing_delta_rejected(self):
-        with pytest.raises(ValueError, match="initializer or delta"):
+        with pytest.raises(ValueError, match="exactly one of delta, initializer"):
             collect_trajectories(CompleteGraph(64), trials=2, horizon=3)
 
 

@@ -15,7 +15,12 @@ from repro.core.dynamics import (
 )
 from repro.core.opinions import BLUE, RED, exact_count_opinions, random_opinions
 from repro.graphs.csr import CSRGraph
-from repro.graphs.implicit import CompleteGraph
+from repro.graphs.generators import random_regular
+from repro.graphs.implicit import (
+    CompleteGraph,
+    CompleteMultipartiteGraph,
+    RookGraph,
+)
 
 
 class TestStep:
@@ -243,3 +248,67 @@ def test_property_monotone_coupling_in_initial_blues(seed):
     out_x = step_best_of_k(g, x, 3, np.random.default_rng(ss))
     out_y = step_best_of_k(g, y, 3, np.random.default_rng(ss))
     assert (out_x <= out_y).all()
+
+
+def sequential_reference_run(graph, init, k, tie_rule, seed, max_steps):
+    """One Best-of-k run as a bare double-buffered loop over
+    :func:`step_best_of_k` (the single-run loop ``run`` used to own,
+    kept as test code).  Returns ``(steps, trajectory, final, winner)``."""
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed)
+    current = init.astype(np.uint8, copy=True)
+    buffer = np.empty_like(current)
+    trajectory = [int(np.count_nonzero(current))]
+    steps = 0
+    while 0 < trajectory[-1] < n and steps < max_steps:
+        buffer = step_best_of_k(
+            graph, current, k, rng, tie_rule=tie_rule, out=buffer
+        )
+        current, buffer = buffer, current
+        trajectory.append(int(np.count_nonzero(current)))
+        steps += 1
+    blue = trajectory[-1]
+    winner = None if 0 < blue < n else (BLUE if blue == n else RED)
+    return steps, trajectory, current, winner
+
+
+_REFERENCE_HOSTS = {
+    "csr": random_regular(96, 8, seed=3),
+    "rook": RookGraph(9),
+    "complete": CompleteGraph(120),
+    "multipartite": CompleteMultipartiteGraph([20, 30, 45]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    host=st.sampled_from(sorted(_REFERENCE_HOSTS)),
+    k=st.sampled_from([1, 2, 3, 4]),
+    tie_rule=st.sampled_from(list(TieRule)),
+    start=st.one_of(st.floats(0.0, 0.2), st.sampled_from(["red", "blue"])),
+    max_steps=st.sampled_from([1, 2, 50]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_run_equals_the_sequential_loop(
+    host, k, tie_rule, start, max_steps, seed
+):
+    """``run`` is one replica of the engine's dense loop, so it draws
+    exactly what the bare loop draws: same steps, trajectory, final row
+    and winner, consensus starts included."""
+    g = _REFERENCE_HOSTS[host]
+    n = g.num_vertices
+    if isinstance(start, float):
+        init = random_opinions(n, start, rng=seed)
+    else:
+        init = np.full(n, BLUE if start == "blue" else RED, dtype=np.uint8)
+    steps, trajectory, final, winner = sequential_reference_run(
+        g, init, k, tie_rule, seed, max_steps
+    )
+    res = BestOfKDynamics(g, k, tie_rule=tie_rule).run(
+        init, seed=seed, max_steps=max_steps
+    )
+    assert res.steps == steps
+    assert res.blue_trajectory.tolist() == trajectory
+    assert np.array_equal(res.final_opinions, final)
+    assert res.winner == winner
+    assert res.converged == (winner is not None)

@@ -19,7 +19,6 @@ from repro.core.dynamics import TieRule, step_best_of_k
 from repro.core.ensemble import (
     EnsembleResult,
     build_initial_matrix,
-    count_chain_step,
     majority_win_probability,
     run_ensemble,
     step_best_of_k_batch,
@@ -101,6 +100,12 @@ class TestMajorityWinProbability:
         out = majority_win_probability(0.5, 3)
         assert out.shape == ()
         assert np.isclose(float(out), 0.5)
+
+
+def count_chain_step(blue_counts, n, k, rng):
+    """One ``K_n`` count-chain round over a replica axis of blue counts."""
+    B = np.asarray(blue_counts, dtype=np.int64)
+    return CompleteGraph(n).count_chain_kernel().step(B[:, None], k, rng)[:, 0]
 
 
 class TestCountChainStep:

@@ -10,14 +10,15 @@ Load-bearing claims:
    default auto policy below the workload threshold reproduce the
    pre-1.8 single-stream results byte-for-byte (goldens stay valid),
    and serial vs threaded agree in distribution (KS);
-3. **auto-routing** (the ``engine_auto`` satellite) — ``method="auto"``
-   routes exchangeable hosts to their count chain as before, and dense
-   hosts thread exactly when the per-round sample count crosses
-   :data:`DENSE_AUTO_THREAD_MIN_SAMPLES`, so auto never runs the dense
-   layout measured slower than the legacy loop on big hosts;
-4. **spec plumbing** — ``ProtocolSpec.threads`` validates, enters the
-   canonical content only when set (pre-1.8 cache keys stable), and
-   round-trips through ``point_from_canonical``.
+3. **auto-routing** — ``method="auto"`` routes exchangeable hosts to
+   their count chain as before, and dense hosts thread exactly when the
+   per-round sample count crosses :data:`DENSE_AUTO_THREAD_MIN_SAMPLES`,
+   on every core count, so an auto run writes the same bytes on a
+   one-core host as on a many-core one;
+4. **no layout above the engine** — sweep points, their stored
+   canonical form, service requests and the service config carry no
+   ``threads`` setting, and a stored point or request that names one is
+   rejected rather than re-keyed.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ class TestThreadPolicy:
                 resolve_dense_threads(100, 3, 10, flag)
 
     def test_auto_policy_thresholds_on_samples(self, monkeypatch):
-        # R·n·k below the threshold: serial; at/above: threaded.  Pin a
-        # multi-core host — on a 1-core box auto never threads at all.
+        # R·n·k below the threshold: serial; at/above: threaded, with
+        # one worker per core.
         monkeypatch.setattr(dense, "_auto_workers", lambda: 4)
         n, k = 4096, 3
         small_r = (DENSE_AUTO_THREAD_MIN_SAMPLES // (n * k)) - 1
@@ -217,23 +218,29 @@ class TestThreadPolicy:
         assert resolve_dense_threads(n, k, small_r, None) == 0
         assert resolve_dense_threads(n, k, big_r, None) == 4
 
-    def test_auto_policy_stays_serial_on_one_core(self, monkeypatch):
-        # A 1-worker threaded layout only pays block overhead, so the
-        # auto policy must refuse it even past the sample threshold
-        # (the never-slower-than-serial routing contract).  Explicit
-        # requests still win: the user asked for the threaded layout.
-        monkeypatch.setattr(dense, "_auto_workers", lambda: 1)
-        n, k = 4096, 3
-        big_r = (DENSE_AUTO_THREAD_MIN_SAMPLES // (n * k)) + 1
-        assert resolve_dense_threads(n, k, big_r, None) == 0
-        assert resolve_dense_threads(n, k, big_r, "auto") == 1
-        assert resolve_dense_threads(n, k, big_r, 1) == 1
+    def test_auto_policy_is_core_count_independent(self, er_host, monkeypatch):
+        # Past the sample threshold a one-core host takes the threaded
+        # layout with one worker, so its bytes match a four-core host's
+        # under the same seed (the result never depends on the machine).
+        big_r = DENSE_AUTO_THREAD_MIN_SAMPLES // (er_host.num_vertices * 3) + 1
+        runs = []
+        for cores in (1, 4):
+            monkeypatch.setattr(dense, "_auto_workers", lambda c=cores: c)
+            assert resolve_dense_threads(er_host.num_vertices, 3, big_r, None) == cores
+            runs.append(
+                run_ensemble(
+                    er_host, replicas=big_r, k=3, seed=4, delta=0.1,
+                    max_steps=3, keep_final=True,
+                )
+            )
+        assert [r.threads for r in runs] == [1, 4]
+        assert_results_equal(*runs)
 
     @pytest.mark.parametrize(
         "cores, n, replicas, want",
         [
             (2, 2**14, 96, 2),  # rook 128x128: past the threshold
-            (1, 2**14, 96, 0),  # ... but one core never threads
+            (1, 2**14, 96, 1),  # ... and threaded on one core too
             (2, 8192, 64, 0),  # the CSR host stays below it
         ],
     )
@@ -253,9 +260,7 @@ class TestThreadPolicy:
         assert blocks == replica_blocks(100, 300, 3, SMALL_BATCH)
         assert len(blocks) >= dense.DENSE_BLOCKS_TARGET
 
-    def test_auto_routing_pins(self, er_host, monkeypatch):
-        # Pin a multi-core host so the threaded regime is reachable.
-        monkeypatch.setattr(dense, "_auto_workers", lambda: 2)
+    def test_auto_routing_pins(self, er_host):
         # Exchangeable host: count chain, as ever.
         chain = run_ensemble(
             CompleteGraph(512), replicas=8, k=3, seed=1, delta=0.1
@@ -279,7 +284,7 @@ class TestThreadPolicy:
         assert big.method == "batched" and big.threads >= 1
 
 
-# -- 4. spec plumbing --------------------------------------------------
+# -- 4. no layout above the engine ------------------------------------
 
 
 class TestSpecPlumbing:
@@ -294,33 +299,41 @@ class TestSpecPlumbing:
         )
 
     def test_threads_validation(self):
-        for ok in (None, 0, 1, 8, "auto", "serial"):
-            assert ProtocolSpec(threads=ok).threads == ok
-        for bad in (-1, 2.5, True, "fast"):
-            with pytest.raises(ValueError):
-                ProtocolSpec(threads=bad)
+        assert "threads" not in {f.name for f in dataclasses.fields(ProtocolSpec)}
+        with pytest.raises(TypeError):
+            ProtocolSpec(threads=2)
 
     def test_canonical_only_when_set_and_round_trips(self):
+        # The optional protocol fields that remain enter the canonical
+        # content only when set, so an unpinned point's key never moved.
         bare = canonical_point(self.point(ProtocolSpec()))
-        assert "threads" not in bare["protocol"]
-        p = self.point(ProtocolSpec(threads="auto"))
+        assert set(bare["protocol"]) == {"kind", "k", "tie_rule"}
+        p = self.point(ProtocolSpec(kind="zealot_best_of_k", zealots=3))
         content = canonical_point(p)
-        assert content["protocol"]["threads"] == "auto"
-        assert point_from_canonical(content) == dataclasses.replace(p)
+        assert content["protocol"]["zealots"] == 3
+        assert point_from_canonical(content) == p
+
+    def test_stored_threads_field_is_rejected(self):
+        content = canonical_point(self.point(ProtocolSpec()))
+        assert "threads" not in content["protocol"]
+        assert point_from_canonical(content) == self.point(ProtocolSpec())
+        # A point stored when ``threads`` could pin the layout carried it
+        # in its key; dropping it silently would re-key the result.
+        content["protocol"]["threads"] = "auto"
+        with pytest.raises(ValueError, match="unknown protocol field.*threads"):
+            point_from_canonical(content)
 
     def test_service_config_grammar(self, monkeypatch):
         from repro.service.config import ServiceConfig
 
-        monkeypatch.setenv("REPRO_SERVICE_THREADS", "serial")
-        assert ServiceConfig.from_env().engine_threads == "serial"
-        monkeypatch.setenv("REPRO_SERVICE_THREADS", "3")
-        assert ServiceConfig.from_env().engine_threads == 3
-        with pytest.raises(ValueError, match="engine_threads"):
-            ServiceConfig(engine_threads="fast")
+        assert "engine_threads" not in {
+            f.name for f in dataclasses.fields(ServiceConfig)
+        }
+        with pytest.raises(TypeError, match="engine_threads"):
+            ServiceConfig.from_env(engine_threads=2)
 
-    def test_request_layer_accepts_threads(self):
+    def test_request_layer_rejects_threads(self):
         from repro.service.requests import RequestError, parse_protocol
 
-        assert parse_protocol({"kind": "best_of_k", "threads": 2}).threads == 2
-        with pytest.raises(RequestError):
-            parse_protocol({"kind": "best_of_k", "threads": "warp"})
+        with pytest.raises(RequestError, match="unknown protocol field.*threads"):
+            parse_protocol({"kind": "best_of_k", "threads": 2})

@@ -5,7 +5,7 @@ compares sha256 digests of every result field — ``steps``, ``winners``,
 ``converged``, ``final_totals``, every trajectory and (where kept)
 ``final_opinions`` — against recorded values.  Each ``TRIAL_CASES``
 entry pins the per-trial surface the same way: both samplers on every
-host kind, the single-replica round and runner, the ensemble wrapper,
+host kind, the single-replica round and runner, the consensus summary,
 the sampling duals, every kernel's initial state and the dense initial
 matrix, digesting arrays with their dtypes.  A refactor of
 the engine loop, the dense step, a sampler or the count chain must leave
@@ -24,7 +24,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_consensus_ensemble
+from repro.analysis.experiments import ConsensusEnsemble
 from repro.core.dynamics import BestOfKDynamics, TieRule, step_best_of_k
 from repro.core.ensemble import build_initial_matrix, run_ensemble
 from repro.core.protocols import (
@@ -278,7 +278,7 @@ for _host, _make in (
     )
 
 # ----------------------------------------------------------------------
-# Per-trial paths: samplers, single-replica rounds, wrappers and duals
+# Per-trial paths: samplers, single-replica rounds, summaries and duals
 # ----------------------------------------------------------------------
 
 HOSTS = {
@@ -351,8 +351,11 @@ def _duals(host: str) -> dict[str, np.ndarray]:
 
 
 def _consensus(host: str) -> dict[str, np.ndarray]:
-    ens = run_consensus_ensemble(
-        HOSTS[host](), trials=12, seed=110, delta=0.1, max_steps=300
+    ens = ConsensusEnsemble.from_ensemble_result(
+        run_ensemble(
+            HOSTS[host](), replicas=12, seed=110, delta=0.1, max_steps=300,
+            record_trajectories=False,
+        )
     )
     return {
         "steps": ens.steps,

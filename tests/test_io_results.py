@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_consensus_ensemble
+from repro.analysis.experiments import ConsensusEnsemble
+from repro.core.ensemble import run_ensemble
 from repro.graphs.implicit import CompleteGraph
 from repro.harness.base import ExperimentResult
 from repro.io.results import (
@@ -77,11 +78,15 @@ class TestRoundTrip:
         assert back.table_markdown() == res.table_markdown()
 
 
+def _ensemble(graph, *, trials, **kw) -> ConsensusEnsemble:
+    return ConsensusEnsemble.from_ensemble_result(
+        run_ensemble(graph, replicas=trials, record_trajectories=False, **kw)
+    )
+
+
 class TestEnsembleDict:
     def test_fields(self):
-        ens = run_consensus_ensemble(
-            CompleteGraph(256), trials=4, delta=0.2, seed=1
-        )
+        ens = _ensemble(CompleteGraph(256), trials=4, delta=0.2, seed=1)
         d = ensemble_to_dict(ens)
         json.dumps(d)
         assert d["trials"] == 4
@@ -89,7 +94,7 @@ class TestEnsembleDict:
         assert len(d["steps"]) == 4
 
     def test_nan_mean_becomes_null(self):
-        ens = run_consensus_ensemble(
+        ens = _ensemble(
             CompleteGraph(2048), trials=2, delta=0.01, seed=2, max_steps=1
         )
         d = ensemble_to_dict(ens)
@@ -98,9 +103,7 @@ class TestEnsembleDict:
     def test_ensemble_round_trip(self):
         from repro.io.results import ensemble_from_dict
 
-        ens = run_consensus_ensemble(
-            CompleteGraph(256), trials=4, delta=0.2, seed=1
-        )
+        ens = _ensemble(CompleteGraph(256), trials=4, delta=0.2, seed=1)
         back = ensemble_from_dict(json.loads(json.dumps(ensemble_to_dict(ens))))
         assert back.trials == ens.trials
         assert back.unconverged == ens.unconverged

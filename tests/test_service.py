@@ -78,12 +78,13 @@ class TestProtocolParse:
         with pytest.raises(ValueError, match="tie-rule suffix"):
             ProtocolSpec.parse("best-of-3-maybe")
 
-    def test_cli_parser_delegates_to_the_same_grammar(self):
-        from repro.io.cli import _parse_protocol
+    def test_cli_parser_delegates_to_the_same_grammar(self, capsys):
+        from repro.io.cli import main
 
-        assert _parse_protocol("best-of-2-rand") == ProtocolSpec.parse(
-            "best-of-2-rand"
-        )
+        # ``repro sweep`` parses --protocol names with ProtocolSpec.parse,
+        # so a bad name fails there, before any point runs.
+        assert main(["sweep", "--protocol", "best-of-3-maybe", "--no-cache"]) == 2
+        assert "tie-rule suffix" in capsys.readouterr().err
 
 
 class TestEstimatedCost:
@@ -258,9 +259,6 @@ class TestRequestCanonicalisation:
 
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 _TIE_RULES = st.sampled_from(["keep_self", "random"])
-_THREADS = st.one_of(
-    st.none(), st.sampled_from(["auto", "serial"]), st.integers(0, 8)
-)
 
 _HOSTS = st.one_of(
     st.builds(lambda n: HostSpec.of("complete", n=n), st.integers(2, 10**6)),
@@ -286,29 +284,24 @@ _HOSTS = st.one_of(
 
 _PROTOCOLS = st.one_of(
     st.builds(
-        lambda k, tie, threads: ProtocolSpec(
-            kind="best_of_k", k=k, tie_rule=tie, threads=threads
-        ),
-        st.integers(1, 9), _TIE_RULES, _THREADS,
+        lambda k, tie: ProtocolSpec(kind="best_of_k", k=k, tie_rule=tie),
+        st.integers(1, 9), _TIE_RULES,
     ),
     st.builds(
-        lambda eta, k, tie, threads: ProtocolSpec(
-            kind="noisy_best_of_k", k=k, tie_rule=tie, eta=eta, threads=threads
+        lambda eta, k, tie: ProtocolSpec(
+            kind="noisy_best_of_k", k=k, tie_rule=tie, eta=eta
         ),
-        st.floats(0.0, 1.0), st.integers(1, 9), _TIE_RULES, _THREADS,
+        st.floats(0.0, 1.0), st.integers(1, 9), _TIE_RULES,
     ),
     st.builds(
-        lambda k, threads: ProtocolSpec(
-            kind="async_vs_sync", k=k, threads=threads
-        ),
-        st.integers(1, 9), _THREADS,
+        lambda k: ProtocolSpec(kind="async_vs_sync", k=k),
+        st.integers(1, 9),
     ),
     st.builds(
-        lambda z, k, tie, threads: ProtocolSpec(
-            kind="zealot_best_of_k", k=k, tie_rule=tie, zealots=z,
-            threads=threads,
+        lambda z, k, tie: ProtocolSpec(
+            kind="zealot_best_of_k", k=k, tie_rule=tie, zealots=z
         ),
-        st.integers(0, 10**5), st.integers(1, 9), _TIE_RULES, _THREADS,
+        st.integers(0, 10**5), st.integers(1, 9), _TIE_RULES,
     ),
 )
 
